@@ -150,8 +150,7 @@ bool Machine::DrainBudget(Tick limit) {
     }
     return true;
   }
-  while (!ts_->halted() && sim_.queue().NextTick() <= limit) {
-    sim_.queue().RunOne();
+  while (!ts_->halted() && sim_.queue().RunOneUntil(limit)) {
   }
   return sim_.queue().Empty();
 }

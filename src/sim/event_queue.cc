@@ -19,7 +19,14 @@ void EventQueue::Schedule(Event* ev, Tick when) {
   ev->scheduled_ = true;
   ev->when_ = when;
   ev->generation_ = ++generation_counter_;
-  AddEntry(Entry{when, next_seq_++, ev, ev->generation_, nullptr});
+  const Slot slot{ev, ev->generation_};
+  if (InWheelWindow(when)) {
+    AppendToWheel(when, slot);
+  } else {
+    heap_.push_back(FarEntry{when, next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
+  }
+  entry_count_++;
   live_count_++;
   MaybeCompact();
 }
@@ -36,23 +43,23 @@ void EventQueue::Deschedule(Event* ev) {
 }
 
 void EventQueue::ScheduleFn(Tick when, std::function<void()> fn) {
-  if (when < now_) {
-    when = now_;  // see the header comment on past-tick clamping
+  FnEvent* ev = free_fn_;
+  if (ev != nullptr) {
+    free_fn_ = ev->next_free_;
+  } else {
+    ev = &fn_pool_.emplace_back(this);
   }
-  AddEntry(Entry{when, next_seq_++, nullptr, 0, std::move(fn)});
-  live_count_++;
+  ev->fn_ = std::move(fn);
+  Schedule(ev, when);
 }
 
-void EventQueue::AddEntry(Entry entry) {
-  entry_count_++;
-  if (InWheelWindow(entry.when)) {
-    const size_t bucket = static_cast<size_t>(entry.when & kWheelMask);
-    wheel_[bucket].push_back(std::move(entry));
-    SetBit(bucket);
-  } else {
-    heap_.push_back(std::move(entry));
-    std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
-  }
+void EventQueue::FnEvent::Fire() {
+  // Run in place: the event is not on the free list yet, so a callback that
+  // schedules another one-shot gets a different event.
+  fn_();
+  fn_ = nullptr;
+  next_free_ = queue_->free_fn_;
+  queue_->free_fn_ = this;
 }
 
 void EventQueue::ClearBucket(size_t bucket) {
@@ -65,7 +72,7 @@ void EventQueue::ClearBucket(size_t bucket) {
 }
 
 size_t EventQueue::FindLive(size_t bucket) const {
-  const std::vector<Entry>& vec = wheel_[bucket];
+  const std::vector<Slot>& vec = wheel_[bucket];
   for (size_t i = bucket == active_bucket_ ? active_idx_ : 0; i < vec.size(); i++) {
     if (IsLive(vec[i])) {
       return i;
@@ -74,7 +81,7 @@ size_t EventQueue::FindLive(size_t bucket) const {
   return SIZE_MAX;
 }
 
-size_t EventQueue::ScanWheel(WheelPos* pos) {
+size_t EventQueue::ScanWheel(size_t* idx) {
   // Walk occupied buckets in increasing distance from now()'s bucket,
   // wrapping once. The start word is visited twice: high bits first, then
   // (after the wrap) its low bits.
@@ -91,12 +98,9 @@ size_t EventQueue::ScanWheel(WheelPos* pos) {
       // Low bit first = nearest bucket first: every bucket in this masked
       // word view shares the same wrap status relative to `start`.
       const size_t bucket = (w << 6) + static_cast<size_t>(std::countr_zero(word));
-      const size_t idx = FindLive(bucket);
-      if (idx != SIZE_MAX) {
-        if (pos != nullptr) {
-          pos->bucket = bucket;
-          pos->idx = idx;
-        }
+      const size_t found = FindLive(bucket);
+      if (found != SIZE_MAX) {
+        *idx = found;
         return (bucket - start) & kWheelMask;
       }
       ClearBucket(bucket);  // only dead/consumed entries left — reclaim now
@@ -108,51 +112,43 @@ size_t EventQueue::ScanWheel(WheelPos* pos) {
 
 void EventQueue::DrainHeap() {
   while (!heap_.empty()) {
-    if (!IsLive(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-      heap_.pop_back();
-      entry_count_--;
-      continue;
-    }
-    if (!InWheelWindow(heap_.front().when)) {
+    const FarEntry& top = heap_.front();
+    const bool live = IsLive(top.slot);
+    if (live && !InWheelWindow(top.when)) {
       break;
     }
+    if (live) {
+      AppendToWheel(top.when, top.slot);
+    } else {
+      entry_count_--;
+    }
     std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-    Entry e = std::move(heap_.back());
     heap_.pop_back();
-    const size_t bucket = static_cast<size_t>(e.when & kWheelMask);
-    wheel_[bucket].push_back(std::move(e));
-    SetBit(bucket);
   }
 }
 
 void EventQueue::PopDeadHeap() {
-  while (!heap_.empty() && !IsLive(heap_.front())) {
+  while (!heap_.empty() && !IsLive(heap_.front().slot)) {
     std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
     heap_.pop_back();
     entry_count_--;
   }
 }
 
-void EventQueue::MaybeCompact() {
-  // Compact when stale entries outnumber live ones (>50% dead) and there is
-  // enough bulk for the O(n) sweep to pay off.
-  if (entry_count_ < 64 || entry_count_ - live_count_ <= live_count_) {
-    return;
-  }
+void EventQueue::Compact() {
   for (size_t w = 0; w < kBitmapWords; w++) {
     uint64_t word = bitmap_[w];
     while (word != 0) {
       const size_t bucket = (w << 6) + static_cast<size_t>(std::countr_zero(word));
       word &= word - 1;
-      std::vector<Entry>& vec = wheel_[bucket];
-      std::erase_if(vec, [this](const Entry& e) { return !IsLive(e); });
+      std::vector<Slot>& vec = wheel_[bucket];
+      std::erase_if(vec, [](const Slot& e) { return !IsLive(e); });
       if (vec.empty()) {
         bitmap_[bucket >> 6] &= ~(1ull << (bucket & 63));
       }
     }
   }
-  std::erase_if(heap_, [this](const Entry& e) { return !IsLive(e); });
+  std::erase_if(heap_, [](const FarEntry& e) { return !IsLive(e.slot); });
   std::make_heap(heap_.begin(), heap_.end(), HeapCmp{});
   entry_count_ = live_count_;
   // All consumed/dead prefix entries were erased, so the fire cursor restarts.
@@ -163,7 +159,8 @@ Tick EventQueue::NextTick() const {
   // Logically const: cleaning exhausted buckets / dead heap tops does not
   // change the observable queue state.
   EventQueue* self = const_cast<EventQueue*>(this);
-  const size_t d = self->ScanWheel();
+  size_t idx = 0;
+  const size_t d = self->ScanWheel(&idx);
   if (d != SIZE_MAX) {
     return now_ + d;
   }
@@ -176,52 +173,53 @@ Tick EventQueue::NextTick() const {
   return heap_.front().when;
 }
 
-bool EventQueue::RunOne() {
+bool EventQueue::RunOneUntil(Tick limit) {
   if (live_count_ == 0) {
     return false;
   }
-  // One combined scan locates the next live entry. A heap entry for the
-  // post-advance tick cannot exist while a wheel entry for it does (it would
-  // already have been drained on an earlier advance), so the cached position
-  // stays the bucket's first live entry across DrainHeap (which only appends).
-  WheelPos pos;
-  size_t d = ScanWheel(&pos);
+  size_t idx = 0;
+  const size_t d = ScanWheel(&idx);
   if (d != SIZE_MAX) {
-    now_ += d;
-    if (!heap_.empty()) {
-      DrainHeap();
+    if (now_ + d > limit) {  // cannot wrap: the entry's tick is now_ + d
+      return false;
+    }
+    if (d != 0) {
+      now_ += d;
+      // A heap entry for the new tick cannot exist while a wheel entry for
+      // it does (it would have migrated on an earlier advance), so the drain
+      // only appends behind `idx`. The drain must not be skipped on a peek at
+      // the heap top: after an AdvanceIfIdle jump a dead top may lie behind
+      // now(), where the window test wraps; DrainHeap pops dead tops first.
+      if (!heap_.empty()) {
+        DrainHeap();
+      }
     }
   } else {
-    // Wheel is empty: jump to the heap top and migrate, then rescan — the
-    // drain lands same-tick entries in (when, seq) pop order, so the first
-    // live entry of the target bucket is the FIFO head.
+    // Wheel is empty (the scan cleared every bucket), so the earliest live
+    // event is the heap top. Jump to it and migrate: the top lands first in
+    // its emptied bucket, ahead of its same-tick successors in seq order.
     PopDeadHeap();
     assert(!heap_.empty());
+    if (heap_.front().when > limit) {
+      return false;
+    }
     now_ = heap_.front().when;
     DrainHeap();
-    d = ScanWheel(&pos);
-    assert(d == 0);
-    (void)d;
+    idx = 0;
   }
-  // Mark the entry consumed and advance the cursor *before* firing: the
-  // callback may schedule into this bucket (reallocating it) or trigger
-  // compaction, so no reference may be held across Fire().
-  const size_t bucket = pos.bucket;
-  Entry& slot = wheel_[bucket][pos.idx];
+  // Consume the entry and advance the cursor *before* firing: the event may
+  // schedule into this bucket (reallocating it) or trigger compaction, so no
+  // reference may be held across Fire().
+  const size_t bucket = static_cast<size_t>(now_ & kWheelMask);
+  Slot& slot = wheel_[bucket][idx];
   Event* ev = slot.ev;
+  slot.ev = nullptr;
   active_bucket_ = bucket;
-  active_idx_ = pos.idx + 1;
+  active_idx_ = idx + 1;
   live_count_--;
   fired_count_++;
-  if (ev != nullptr) {
-    slot.ev = nullptr;  // fn is already empty for Event entries
-    ev->scheduled_ = false;
-    ev->Fire();
-  } else {
-    std::function<void()> fn = std::move(slot.fn);
-    slot.fn = nullptr;
-    fn();
-  }
+  ev->scheduled_ = false;
+  ev->Fire();
   if (active_bucket_ == bucket && active_idx_ >= wheel_[bucket].size()) {
     ClearBucket(bucket);
   }
@@ -231,11 +229,7 @@ bool EventQueue::RunOne() {
 void EventQueue::RunUntil(Tick limit) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = limit;
-  // The live check matters at limit == Tick max: the empty-queue sentinel
-  // (NextTick() == Tick max) satisfies `<= limit` and RunOne() on an empty
-  // queue is a no-op, which would spin forever.
-  while (live_count_ != 0 && NextTick() <= limit) {
-    RunOne();
+  while (RunOneUntil(limit)) {
   }
   advance_limit_ = saved_limit;
   if (now_ < limit) {
@@ -259,7 +253,7 @@ uint64_t EventQueue::RunWhile(Tick limit, const std::function<bool()>& pred) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = limit;
   uint64_t fired = 0;
-  while (pred() && NextTick() <= limit && RunOne()) {
+  while (pred() && RunOneUntil(limit)) {
     fired++;
   }
   // The predicate may have clamped the advance limit mid-window; the saved

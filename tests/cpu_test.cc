@@ -3,6 +3,7 @@
 // threading model underneath.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "src/cpu/machine.h"
@@ -51,6 +52,23 @@ TEST(CpuTest, RunsArithmeticLoop) {
   EXPECT_EQ(log.Last(1), 55u);
   EXPECT_EQ(m.threads().thread(p).state(), ThreadState::kDisabled);
   EXPECT_FALSE(m.halted());
+}
+
+TEST(CpuTest, DrainBudgetToTickMaxReturnsOnceQuiet) {
+  // Regression: with limit == Tick max the legacy drain loop compared the
+  // empty queue's Tick-max sentinel against the limit and spun forever once
+  // the parked thread left nothing to fire.
+  Machine m;
+  const Ptid p = m.LoadSource(0, 0,
+                              "  li a0, 4096\n"
+                              "  monitor a0\n"
+                              "  mwait\n"
+                              "  halt\n",
+                              /*supervisor=*/true);
+  m.Start(p);
+  EXPECT_TRUE(m.DrainBudget(std::numeric_limits<Tick>::max()));
+  EXPECT_FALSE(m.halted());
+  EXPECT_EQ(m.threads().thread(p).state(), ThreadState::kWaiting);
 }
 
 TEST(CpuTest, LoadsAndStoresThroughCaches) {

@@ -212,18 +212,42 @@ TEST(EventQueueTest, RepeatedRescheduleKeepsStorageBounded) {
   EXPECT_LT(q.InternalEntryCount(), 256u);
 }
 
+// Delay before the ticker's next self-reschedule, given the fires it has
+// left: mostly near ticks (0 = same tick, behind the cursor), sometimes past
+// the wheel window.
+Tick TickerDelay(int left) {
+  return left % 7 == 3 ? EventQueue::kWheelTicks + static_cast<Tick>(left)
+                       : static_cast<Tick>(left % 4);
+}
+
+// Delay before a one-shot chain's next hop, given the hops it has left.
+Tick ChainDelay(int hops) {
+  return hops % 5 == 2 ? 2 * EventQueue::kWheelTicks : static_cast<Tick>(hops % 3);
+}
+
 TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   // Drive the queue with random schedules/cancels/runs and check every fire
   // against a brute-force reference model ordered by (when, schedule-seq).
+  // Besides plain one-shots and caller-owned events, the population holds an
+  // event that reschedules itself from inside Fire() (the core-tick shape)
+  // and one-shots that schedule their successor from inside their callback
+  // (one-shot pool reuse); the model replays those follow-ups as it fires.
+  // Advancer one-shots take the core-park shape inside a run: cancel every
+  // reusable event, then AdvanceIfIdle, jumping the clock past the dead
+  // wheel/heap entries the cancels leave behind.
   EventQueue q;
   Rng rng(2026);
   std::vector<int> got;
   std::vector<int> want;
 
+  enum class Kind { kPlain, kTicker, kChain, kAdvancer };
   struct Ref {
     Tick when;
     uint64_t seq;
     int id;
+    Kind kind;
+    int hops;         // kChain: hops still to schedule after this one
+    Tick target = 0;  // kAdvancer: the AdvanceIfIdle argument
   };
   std::vector<Ref> ref;  // live entries in the reference model
   uint64_t next_seq = 0;
@@ -236,6 +260,40 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
     pool.push_back(std::make_unique<LambdaEvent<std::function<void()>>>(
         [&got, i] { got.push_back(1000000 + i); }));
   }
+
+  static constexpr int kTickerId = 2000000;
+  struct Ticker final : public Event {
+    EventQueue* q = nullptr;
+    std::vector<int>* got = nullptr;
+    int left = 0;
+    void Fire() override {
+      got->push_back(kTickerId);
+      if (left > 0) {
+        q->ScheduleAfter(this, TickerDelay(left));
+        left--;
+      }
+    }
+  };
+  Ticker ticker;
+  ticker.q = &q;
+  ticker.got = &got;
+  int model_ticker_left = 0;
+
+  // Chain hops record 3000000 + 10 * chain id + hops left.
+  std::function<void(Tick, int, int)> arm_chain = [&](Tick when, int id, int hops) {
+    q.ScheduleFn(when, [&arm_chain, &got, &q, id, hops] {
+      got.push_back(3000000 + 10 * id + hops);
+      if (hops > 0) {
+        arm_chain(q.now() + ChainDelay(hops), id, hops - 1);
+      }
+    });
+  };
+
+  // Mirrors the queue's AdvanceIfIdle ceiling: 0 outside a run, the run's
+  // limit inside one.
+  Tick model_advance_limit = 0;
+  int advances = 0;
+
   auto ref_min = [&]() -> size_t {
     size_t best = SIZE_MAX;
     for (size_t j = 0; j < ref.size(); j++) {
@@ -254,45 +312,153 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
       }
     }
   };
+  // Fires the model's earliest entry if its tick is <= limit, scheduling the
+  // follow-up the real event schedules from inside its own fire.
+  auto model_fire_until = [&](Tick limit) {
+    const size_t j = ref_min();
+    if (j == SIZE_MAX || ref[j].when > limit) {
+      return false;
+    }
+    const Ref r = ref[j];
+    ref.erase(ref.begin() + j);
+    model_now = r.when;
+    if (r.kind == Kind::kTicker) {
+      want.push_back(kTickerId);
+      if (model_ticker_left > 0) {
+        ref.push_back({model_now + TickerDelay(model_ticker_left), next_seq++, kTickerId,
+                       Kind::kTicker, 0});
+        model_ticker_left--;
+      }
+    } else if (r.kind == Kind::kChain) {
+      want.push_back(3000000 + 10 * r.id + r.hops);
+      if (r.hops > 0) {
+        ref.push_back({model_now + ChainDelay(r.hops), next_seq++, r.id, Kind::kChain,
+                       r.hops - 1});
+      }
+    } else if (r.kind == Kind::kAdvancer) {
+      for (int i = 0; i < kPool; i++) {
+        ref_erase_slot(i);
+      }
+      // Allowed only with nothing else live, not behind now(), and not past
+      // the run's limit.
+      const bool advanced =
+          ref.empty() && r.target >= model_now && r.target <= model_advance_limit;
+      if (advanced) {
+        model_now = r.target;
+        advances++;
+      }
+      want.push_back(4000000 + 10 * r.id + (advanced ? 1 : 0));
+    } else {
+      want.push_back(r.id);
+    }
+    return true;
+  };
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
 
-  for (int step = 0; step < 4000; step++) {
+  for (int step = 0; step < 6000; step++) {
     const uint64_t op = rng.NextBounded(100);
-    if (op < 40) {
+    if (op < 30) {
       const Tick when = model_now + rng.NextBounded(3 * EventQueue::kWheelTicks);
       const int id = next_id++;
-      ref.push_back({when, next_seq++, id});
+      ref.push_back({when, next_seq++, id, Kind::kPlain, 0});
       q.ScheduleFn(when, [&got, id] { got.push_back(id); });
-    } else if (op < 60) {
+    } else if (op < 45) {
       const int i = static_cast<int>(rng.NextBounded(kPool));
       const Tick when = model_now + rng.NextBounded(3 * EventQueue::kWheelTicks);
       ref_erase_slot(i);  // a reschedule supersedes the earlier entry
-      ref.push_back({when, next_seq++, 1000000 + i});
+      ref.push_back({when, next_seq++, 1000000 + i, Kind::kPlain, 0});
       q.Schedule(pool[i].get(), when);
-    } else if (op < 70) {
+    } else if (op < 52) {
       const int i = static_cast<int>(rng.NextBounded(kPool));
       ref_erase_slot(i);
       q.Deschedule(pool[i].get());
-    } else if (op < 85) {
-      const size_t j = ref_min();
-      if (j == SIZE_MAX) {
-        EXPECT_FALSE(q.RunOne());
-      } else {
-        want.push_back(ref[j].id);
-        model_now = ref[j].when;
-        ref.erase(ref.begin() + j);
-        EXPECT_TRUE(q.RunOne());
-        EXPECT_EQ(q.now(), model_now);
+    } else if (op < 56) {
+      const Tick when = model_now + rng.NextBounded(EventQueue::kWheelTicks);
+      const int left = static_cast<int>(rng.NextBounded(24));
+      if (!ticker.scheduled()) {
+        ticker.left = left;
+        model_ticker_left = left;
+        ref.push_back({when, next_seq++, kTickerId, Kind::kTicker, 0});
+        q.Schedule(&ticker, when);
       }
+    } else if (op < 60) {
+      const Tick when = model_now + rng.NextBounded(2 * EventQueue::kWheelTicks);
+      const int hops = static_cast<int>(rng.NextBounded(9));
+      const int id = next_id++;
+      ref.push_back({when, next_seq++, id, Kind::kChain, hops});
+      arm_chain(when, id, hops);
+    } else if (op < 70) {
+      const bool fired = model_fire_until(kMax);
+      EXPECT_EQ(q.RunOne(), fired);
+      EXPECT_EQ(q.now(), model_now);
+    } else if (op < 80) {
+      // RunOneUntil: fires the head only if it is due by `limit`; a refusal
+      // must leave now() untouched.
+      const Tick limit = model_now + rng.NextBounded(EventQueue::kWheelTicks / 2);
+      const bool fired = model_fire_until(limit);
+      EXPECT_EQ(q.RunOneUntil(limit), fired);
+      EXPECT_EQ(q.now(), model_now);
+    } else if (op < 88) {
+      // RunWhile whose predicate turns false after `budget` fires, usually
+      // with due events still pending inside the window.
+      const Tick limit = model_now + rng.NextBounded(2 * EventQueue::kWheelTicks);
+      const uint64_t budget = rng.NextBounded(8);
+      uint64_t model_fired = 0;
+      while (model_fired < budget && model_fire_until(limit)) {
+        model_fired++;
+      }
+      uint64_t left = budget;
+      EXPECT_EQ(q.RunWhile(limit, [&left] { return left-- > 0; }), model_fired);
+      EXPECT_EQ(q.now(), model_now);  // left at the last fired tick
+    } else if (op < 92) {
+      // Idle jump: an advancer queued behind every pending one-shot fires
+      // inside RunUntil or RunWhile. Some reusable events are first moved
+      // past it, so its cancels leave dead entries in the wheel and the heap
+      // for the jump to cross. Half the time the run's limit equals the
+      // target, so the run ends with the clock where the jump left it and
+      // later ops meet the dead entries it jumped over.
+      const Tick when =
+          model_now + 3 * EventQueue::kWheelTicks + rng.NextBounded(EventQueue::kWheelTicks);
+      for (int i = 0; i < kPool; i++) {
+        if (rng.NextBounded(2) == 0) {
+          const Tick later = when + 1 + rng.NextBounded(3 * EventQueue::kWheelTicks);
+          ref_erase_slot(i);
+          ref.push_back({later, next_seq++, 1000000 + i, Kind::kPlain, 0});
+          q.Schedule(pool[i].get(), later);
+        }
+      }
+      const Tick target = when + rng.NextBounded(3 * EventQueue::kWheelTicks);
+      const Tick limit = rng.NextBounded(2) == 0
+                             ? target
+                             : when + rng.NextBounded(3 * EventQueue::kWheelTicks);
+      const bool use_run_while = rng.NextBounded(2) == 0;
+      const int id = next_id++;
+      ref.push_back({when, next_seq++, id, Kind::kAdvancer, 0, target});
+      q.ScheduleFn(when, [&got, &q, &pool, id, target] {
+        for (auto& ev : pool) {
+          q.Deschedule(ev.get());
+        }
+        got.push_back(4000000 + 10 * id + (q.AdvanceIfIdle(target) ? 1 : 0));
+      });
+      model_advance_limit = limit;
+      uint64_t model_fired = 0;
+      while (model_fire_until(limit)) {
+        model_fired++;
+      }
+      model_advance_limit = 0;
+      if (use_run_while) {
+        EXPECT_EQ(q.RunWhile(limit, [] { return true; }), model_fired);
+      } else {
+        model_now = std::max(model_now, limit);
+        q.RunUntil(limit);
+      }
+      EXPECT_EQ(q.now(), model_now);
     } else {
       const Tick limit = model_now + rng.NextBounded(2 * EventQueue::kWheelTicks);
-      for (;;) {
-        const size_t j = ref_min();
-        if (j == SIZE_MAX || ref[j].when > limit) {
-          break;
-        }
-        want.push_back(ref[j].id);
-        ref.erase(ref.begin() + j);
+      model_advance_limit = limit;
+      while (model_fire_until(limit)) {
       }
+      model_advance_limit = 0;
       model_now = std::max(model_now, limit);
       q.RunUntil(limit);
       EXPECT_EQ(q.now(), model_now);
@@ -300,16 +466,82 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
     ASSERT_EQ(got, want) << "diverged at step " << step;
   }
   q.RunAll();
-  for (;;) {
-    const size_t j = ref_min();
-    if (j == SIZE_MAX) {
-      break;
-    }
-    want.push_back(ref[j].id);
-    ref.erase(ref.begin() + j);
+  while (model_fire_until(kMax)) {
   }
   EXPECT_EQ(got, want);
   EXPECT_TRUE(q.Empty());
+  EXPECT_GT(advances, 20);  // the idle-jump path was exercised, not just refused
+}
+
+TEST(EventQueueTest, FarEventMigratesAfterIdleJumpOverDeadHeapEntry) {
+  // A dead heap entry at 5000 is still in the heap when AdvanceIfIdle jumps
+  // the clock to 6000. A far event scheduled after the jump must still
+  // migrate into the wheel on time while 1-tick hops keep the wheel busy:
+  // it fires at 11000, ahead of the hop queued for that tick, and the clock
+  // never runs backwards.
+  EventQueue q;
+  LambdaEvent dead([] {});
+  q.Schedule(&dead, 5000);
+  q.Deschedule(&dead);
+  std::vector<Tick> fire_ticks;
+  Tick far_fired_at = 0;
+  std::function<void()> hop = [&] {
+    fire_ticks.push_back(q.now());
+    if (q.now() < 12000) {
+      q.ScheduleFnAfter(1, hop);
+    }
+  };
+  q.ScheduleFn(0, [&] {
+    ASSERT_TRUE(q.AdvanceIfIdle(6000));
+    q.ScheduleFn(11000, [&] {
+      far_fired_at = q.now();
+      fire_ticks.push_back(q.now());
+    });
+    q.ScheduleFnAfter(1, hop);
+  });
+  q.RunUntil(20000);
+  EXPECT_EQ(far_fired_at, 11000u);
+  ASSERT_EQ(fire_ticks.size(), 6001u);
+  EXPECT_TRUE(std::is_sorted(fire_ticks.begin(), fire_ticks.end()));
+  EXPECT_EQ(fire_ticks[11000 - 6001], 11000u);  // the far event, before the hop
+  EXPECT_EQ(q.now(), 20000u);
+}
+
+TEST(EventQueueTest, OneShotChainKeepsPoolAndStorageBounded) {
+  // Each hop schedules the next from inside its callback, now and then past
+  // the wheel window. The running hop's event goes back to the pool once the
+  // callback returns, so two pooled events serve the whole chain.
+  EventQueue q;
+  int fired = 0;
+  std::function<void()> hop = [&] {
+    if (++fired < 10000) {
+      q.ScheduleFnAfter(fired % 100 == 0 ? EventQueue::kWheelTicks + 7 : fired % 3, hop);
+    }
+  };
+  q.ScheduleFn(0, hop);
+  size_t max_entries = 0;
+  while (q.RunOne()) {
+    max_entries = std::max(max_entries, q.InternalEntryCount());
+  }
+  EXPECT_EQ(fired, 10000);
+  EXPECT_EQ(q.events_fired(), 10000u);
+  EXPECT_LE(q.OneShotPoolSize(), 2u);
+  EXPECT_LE(max_entries, 2u);
+  EXPECT_EQ(q.InternalEntryCount(), 0u);
+}
+
+TEST(EventQueueTest, DestroyingQueueReleasesPendingOneShotCaptures) {
+  auto token = std::make_shared<int>(7);
+  {
+    EventQueue q;
+    q.ScheduleFn(10, [token] {});                                // wheel
+    q.ScheduleFn(3 * EventQueue::kWheelTicks, [token] {});       // heap
+    q.ScheduleFn(1, [token] {});
+    EXPECT_EQ(token.use_count(), 4);
+    EXPECT_TRUE(q.RunOne());
+    EXPECT_EQ(token.use_count(), 3);  // a fired one-shot drops its captures at once
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventQueueTest, SchedulePastTickClampsToNow) {

@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "src/analysis/lint.h"
@@ -167,7 +168,12 @@ int main(int argc, char** argv) {
   // real event (so the cycle report is meaningful). DrainBudget picks the
   // right engine: per-event on legacy machines, windowed rounds on sharded
   // ones — same observable results either way.
-  const bool drained = m.DrainBudget(start + max_cycles);
+  // The budget saturates at Tick max: a huge --max-cycles must not wrap the
+  // limit around to a tick behind `start`.
+  const Tick limit = max_cycles > std::numeric_limits<Tick>::max() - start
+                         ? std::numeric_limits<Tick>::max()
+                         : start + max_cycles;
+  const bool drained = m.DrainBudget(limit);
 
   std::printf("---\n");
   std::printf("cycles     : %llu\n", (unsigned long long)(m.sim().now() - start));
