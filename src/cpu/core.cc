@@ -7,20 +7,6 @@
 
 namespace casc {
 
-namespace {
-
-// Maps a fusion pattern to its superinstruction head handler. The VmHandler
-// block mirrors FusedOp ordering, so this is pure arithmetic.
-static_assert(vmFuseLoadAlu == vmFuseCmpBranch + 1 && vmFuseAddiStore == vmFuseCmpBranch + 2 &&
-                  vmFuseMonitorMwait == vmFuseCmpBranch + 3,
-              "fused handler ids must mirror FusedOp ordering");
-uint8_t FusedHandlerOf(FusedOp kind) {
-  assert(kind != FusedOp::kNone);
-  return static_cast<uint8_t>(vmFuseCmpBranch + static_cast<uint8_t>(kind) - 1);
-}
-
-}  // namespace
-
 Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, CoreTimings timings)
     : sim_(sim),
       mem_(mem),
@@ -30,8 +16,6 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, Core
       l1i_hit_latency_(mem.config().l1i.hit_latency),
       eq_(&sim.QueueFor(sim.num_shards() != 0 ? id : 0)),
       tick_event_(this),
-      ptid_base_(ts.PtidOf(id, 0)),
-      cont_(ts.config().threads_per_core),
       stat_instructions_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".instructions")),
       stat_active_cycles_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".active_cycles")),
       stat_idle_wakeups_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".idle_wakeups")) {
@@ -42,9 +26,7 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, Core
 void Core::InvalidatePredecodeAll() {
   for (PredecodedLine& line : predecode_) {
     line.base = kNoCodeLine;
-    line.tail_spans_next = false;
   }
-  code_epoch_++;  // kill every staged continuation along with the lines
 }
 
 void Core::FillPredecodeLine(PredecodedLine& line, Addr base) {
@@ -53,39 +35,9 @@ void Core::FillPredecodeLine(PredecodedLine& line, Addr base) {
     DecodedSlot& s = line.slots[i];
     s.inst = Decode(mem_.phys().Read32(base + i * kInstBytes));
     s.handler = HandlerOf(s.inst.op);
-    s.tail_handler = vmNop;
-    s.fused = 0;
-    s.tail_spans_next = false;
   }
   line.base = base;
-  line.tail_spans_next = false;
   line.fetch_ref = Cache::LineRef{};  // memo belongs to the old contents
-  if (fusion_enabled_) {
-    // Fusion pairing pass: every slot that can head a pattern gets the fused
-    // handler plus a cached copy of its tail. The tail slot keeps its own
-    // plain handler, so a jump landing on it mid-line executes normally and
-    // it may itself head the following pair. Slot 15's tail lives in the
-    // next code line (unmapped memory reads as 0 = nop, which never matches
-    // a pattern); the copy makes the pair self-contained, and the span rule
-    // in InvalidatePredecodeLine keeps the copy coherent.
-    for (size_t i = 0; i < kSlots; i++) {
-      DecodedSlot& s = line.slots[i];
-      const bool spans = i + 1 == kSlots;
-      const Instruction tail =
-          spans ? Decode(mem_.phys().Read32(base + kLineSize)) : line.slots[i + 1].inst;
-      const FusedOp kind = MatchFusionPair(s.inst, tail);
-      if (kind == FusedOp::kNone) {
-        continue;
-      }
-      s.tail = tail;
-      s.tail_handler = HandlerOf(tail.op);
-      s.fused = static_cast<uint8_t>(kind);
-      s.handler = FusedHandlerOf(kind);
-      s.tail_spans_next = spans;
-      line.tail_spans_next = line.tail_spans_next || spans;
-    }
-  }
-  code_epoch_++;  // continuations staged on the old contents must not fire
 }
 
 void Core::BindNative(Ptid ptid, NativeProgram program) {
@@ -208,28 +160,6 @@ Tick Core::Step(HwThread& t) {
 Tick Core::StepInterpreted(HwThread& t) {
   const Addr pc = t.arch().pc;
   if (predecode_enabled_) {
-    if (fusion_enabled_) {
-      // A continuation staged by a fused head: if the thread is still at the
-      // tail pc and no fill/invalidation intervened, dispatch the tail from
-      // the head's cached copy — no line lookup, no slot indexing. The timed
-      // fetch below runs unchanged, so timing and cache stats are identical
-      // to the unfused path. A stale hit is impossible: any predecode
-      // restructuring bumps code_epoch_, and a pc mismatch (exception,
-      // redirect) just falls through to the normal path.
-      FusedCont& c = cont_[t.ptid() - ptid_base_];
-      if (c.pc == pc && c.epoch == code_epoch_) {
-        c.pc = kNoCodeLine;  // consume: a pair fuses once per head execution
-        stat_fused_[static_cast<size_t>(c.kind)]++;
-        stat_predecode_hits_++;
-        // Spanning tails (c.line == nullptr) fetch without the head line's
-        // L1I memo — the tail word lives on a different cache line.
-        const Tick fetch = c.line != nullptr ? mem_.FetchPredecoded(id_, pc, &c.line->fetch_ref)
-                                             : mem_.Fetch(id_, pc, nullptr);
-        const Tick fetch_penalty = fetch > l1i_hit_latency_ ? fetch - l1i_hit_latency_ : 0;
-        return fetch_penalty +
-               DispatchSlot(t, c.head->tail, c.head->tail_handler, nullptr, nullptr);
-      }
-    }
     PredecodedLine& line = predecode_[(pc >> 6) & (kPredecodeLines - 1)];
     const Addr base = LineBase(pc);
     if (line.base == base) {
@@ -243,33 +173,18 @@ Tick Core::StepInterpreted(HwThread& t) {
     const Tick fetch = mem_.FetchPredecoded(id_, pc, &line.fetch_ref);
     const Tick fetch_penalty = fetch > l1i_hit_latency_ ? fetch - l1i_hit_latency_ : 0;
     const DecodedSlot& slot = line.slots[(pc & (kLineSize - 1)) / kInstBytes];
-    return fetch_penalty + DispatchSlot(t, slot.inst, slot.handler, &line, &slot);
+    return fetch_penalty + DispatchSlot(t, slot.inst, slot.handler);
   }
   uint32_t word = 0;
   const Tick fetch = mem_.Fetch(id_, pc, &word);
   // Warm fetches are pipelined away; only the miss penalty stalls issue.
   const Tick fetch_penalty = fetch > l1i_hit_latency_ ? fetch - l1i_hit_latency_ : 0;
   const Instruction inst = Decode(word);
-  return fetch_penalty + DispatchSlot(t, inst, HandlerOf(inst.op), nullptr, nullptr);
+  return fetch_penalty + DispatchSlot(t, inst, HandlerOf(inst.op));
 }
 
-
-// Instantiate the handler bodies: the computed-goto engine where the
-// toolchain supports labels-as-values, and the portable switch engine always
-// (it is also the fallback when threaded dispatch is switched off).
-#if CASC_HAS_COMPUTED_GOTO
-#define CASC_VM_FN ExecSlotGoto
-#define CASC_VM_GOTO 1
+// Core::DispatchSlot: the handler bodies (DESIGN.md §4j).
 #include "src/cpu/dispatch.inc"  // NOLINT(build/include)
-#undef CASC_VM_FN
-#undef CASC_VM_GOTO
-#endif
-
-#define CASC_VM_FN ExecSlotSwitch
-#define CASC_VM_GOTO 0
-#include "src/cpu/dispatch.inc"  // NOLINT(build/include)
-#undef CASC_VM_FN
-#undef CASC_VM_GOTO
 
 Tick Core::StepNative(HwThread& t, NativeState& ns) {
   if (!ns.task.valid() || ns.task.done() || ns.ctx->faulted()) {

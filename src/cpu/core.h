@@ -4,14 +4,8 @@
 // I-cache) or one pending native-coroutine operation per pick; both charge
 // costs through the shared memory system and thread system.
 //
-// The interpreter is a direct-threaded engine (DESIGN.md §4j): predecoded
-// lines carry per-slot handler ids dispatched through a computed-goto table
-// (portable switch fallback when the compiler lacks labels-as-values), and a
-// predecode-time fusion pass pairs common two-instruction idioms into fused
-// superinstruction heads. Fusion is timing-neutral by construction: the pair
-// still retires one instruction per pick at its own tick — the head stages a
-// continuation that lets the tail skip the predecode lookup and dispatch
-// setup, while the timed fetch and every architectural effect run unchanged.
+// The interpreter dispatches predecoded per-slot handler ids through one
+// switch (DESIGN.md §4j).
 #ifndef SRC_CPU_CORE_H_
 #define SRC_CPU_CORE_H_
 
@@ -37,28 +31,20 @@ struct CoreTimings {
   Tick branch = 1;
 };
 
-// Dispatch handler ids, in table order: one per opcode (same numbering as
-// Opcode so predecode can translate with a bounds check), then the fused
-// superinstruction heads, then the illegal-opcode trap. The X-macro keeps the
-// enum, the computed-goto label table, and the switch cases in lockstep.
-#define CASC_VM_HANDLERS(X)                                                              \
-  X(Nop) X(Halt) X(Add) X(Sub) X(Mul) X(Div) X(And) X(Or) X(Xor) X(Sll) X(Srl) X(Sra)   \
-  X(Slt) X(Sltu) X(Addi) X(Andi) X(Ori) X(Xori) X(Slli) X(Srli) X(Srai) X(Slti) X(Lui)  \
-  X(Ld) X(Lw) X(Lh) X(Lb) X(Sd) X(Sw) X(Sh) X(Sb)                                       \
-  X(Beq) X(Bne) X(Blt) X(Bge) X(Bltu) X(Bgeu) X(Jal) X(Jalr)                            \
-  X(Csrrd) X(Csrwr) X(Monitor) X(Mwait) X(Start) X(Stop) X(Rpull) X(Rpush) X(Invtid)    \
-  X(Amoadd) X(Hcall)                                                                    \
-  X(FuseCmpBranch) X(FuseLoadAlu) X(FuseAddiStore) X(FuseMonitorMwait) X(Illegal)
-
+// Dispatch handler ids: one per opcode (same numbering as Opcode so predecode
+// can translate with a bounds check), then the illegal-opcode trap.
 enum VmHandler : uint8_t {
-#define CASC_VM_ENUM(name) vm##name,
-  CASC_VM_HANDLERS(CASC_VM_ENUM)
-#undef CASC_VM_ENUM
+  vmNop, vmHalt, vmAdd, vmSub, vmMul, vmDiv, vmAnd, vmOr, vmXor, vmSll, vmSrl, vmSra,
+  vmSlt, vmSltu, vmAddi, vmAndi, vmOri, vmXori, vmSlli, vmSrli, vmSrai, vmSlti, vmLui,
+  vmLd, vmLw, vmLh, vmLb, vmSd, vmSw, vmSh, vmSb,
+  vmBeq, vmBne, vmBlt, vmBge, vmBltu, vmBgeu, vmJal, vmJalr,
+  vmCsrrd, vmCsrwr, vmMonitor, vmMwait, vmStart, vmStop, vmRpull, vmRpush, vmInvtid,
+  vmAmoadd, vmHcall, vmIllegal,
   vmHandlerCount,
 };
 static_assert(vmNop == static_cast<uint8_t>(Opcode::kNop) &&
                   vmHcall == static_cast<uint8_t>(Opcode::kHcall) &&
-                  vmFuseCmpBranch == static_cast<uint8_t>(Opcode::kCount),
+                  vmIllegal == static_cast<uint8_t>(Opcode::kCount),
               "handler ids must mirror Opcode numbering");
 
 class Core {
@@ -95,45 +81,16 @@ class Core {
   void set_predecode_enabled(bool enabled) { predecode_enabled_ = enabled; }
   bool predecode_enabled() const { return predecode_enabled_; }
 
-  // Selects the computed-goto handler table (true, the default) or the
-  // portable switch engine. Both dispatch the same handler bodies; on builds
-  // without labels-as-values support the switch engine always runs.
-  void set_threaded_dispatch(bool enabled) { threaded_dispatch_ = enabled; }
-  bool threaded_dispatch() const { return threaded_dispatch_; }
-
-  // Enables/disables superinstruction fusion (on by default). Toggling drops
-  // every predecoded line so pairing metadata is rebuilt consistently.
-  void set_fusion_enabled(bool enabled) {
-    fusion_enabled_ = enabled;
-    InvalidatePredecodeAll();
-  }
-  bool fusion_enabled() const { return fusion_enabled_; }
-
-  // True when this build carries the computed-goto dispatch table.
-  static constexpr bool kHasComputedGoto =
-#if CASC_HAS_COMPUTED_GOTO
-      true;
-#else
-      false;
-#endif
-
   // Drops every predecoded line. Needed after writes that bypass the memory
   // system, e.g. Program::LoadInto at Machine::Load time.
   void InvalidatePredecodeAll();
 
   uint64_t predecode_hits() const { return stat_predecode_hits_; }
   uint64_t predecode_misses() const { return stat_predecode_misses_; }
-  // Fully-fused pair executions (head + staged tail) per pattern, and total.
-  uint64_t fused_pairs(FusedOp kind) const {
-    return stat_fused_[static_cast<size_t>(kind)];
-  }
-  uint64_t fused_pairs_total() const {
-    uint64_t total = 0;
-    for (uint32_t k = 1; k < kNumFusedOps; k++) {
-      total += stat_fused_[k];
-    }
-    return total;
-  }
+  // Always 0: superinstruction fusion was removed (DESIGN.md §4j). Kept only
+  // because perfbench/workloads.cc still reads it for cpu.fused_pair_rate;
+  // goes with that metric on the next benchmark change.
+  uint64_t fused_pairs_total() const { return 0; }
 
  private:
   struct NativeState {
@@ -158,50 +115,18 @@ class Core {
   static constexpr Addr kNoCodeLine = ~Addr{0};   // not line-aligned: matches nothing
   struct DecodedSlot {
     Instruction inst;
-    Instruction tail;          // decoded tail copy when this slot heads a pair
-    uint8_t handler = vmNop;   // dispatch id (a vmFuse* id when fused != kNone)
-    uint8_t tail_handler = vmNop;
-    uint8_t fused = 0;         // FusedOp of the pair rooted here
-    bool tail_spans_next = false;  // the tail word lives in the next code line
+    uint8_t handler = vmNop;  // dispatch id
   };
   struct PredecodedLine {
     Addr base = kNoCodeLine;
-    bool tail_spans_next = false;  // slot 15 heads a pair into the next line
-    Cache::LineRef fetch_ref;      // L1I hit memo for addresses in this line
+    Cache::LineRef fetch_ref;  // L1I hit memo for addresses in this line
     std::array<DecodedSlot, kLineSize / kInstBytes> slots;
   };
-  // A staged fused-pair tail: after the head retires, the tail's next pick
-  // validates (pc, epoch) and dispatches straight from the head's slot. Any
-  // predecode fill or invalidation bumps code_epoch_, killing every staged
-  // continuation — including self-modifying-code and DMA writes to either
-  // line of the pair.
-  struct FusedCont {
-    Addr pc = kNoCodeLine;  // tail pc this continuation is armed for
-    uint64_t epoch = 0;
-    PredecodedLine* line = nullptr;  // line containing `pc` (null: spans lines)
-    const DecodedSlot* head = nullptr;
-    FusedOp kind = FusedOp::kNone;
-  };
-
   void Cycle();
   void FillPredecodeLine(PredecodedLine& line, Addr base);
   void InvalidatePredecodeLine(Addr line) {
     // Unconditional: clearing an aliased entry only costs a future refill.
-    PredecodedLine& entry = predecode_[(line >> 6) & (kPredecodeLines - 1)];
-    bool dropped = entry.base != kNoCodeLine;
-    entry.base = kNoCodeLine;
-    // The span rule (§4j): a fused pair rooted at the end of the previous
-    // line caches a copy of this line's first word as its tail, so a write
-    // here must drop that line too or the stale tail would keep executing.
-    PredecodedLine& prev = predecode_[((line - kLineSize) >> 6) & (kPredecodeLines - 1)];
-    if (prev.tail_spans_next && prev.base == line - kLineSize) {
-      prev.base = kNoCodeLine;
-      prev.tail_spans_next = false;
-      dropped = true;
-    }
-    if (dropped) {
-      code_epoch_++;
-    }
+    predecode_[(line >> 6) & (kPredecodeLines - 1)].base = kNoCodeLine;
   }
   // Executes one step for `t`; returns the latency consumed.
   Tick Step(HwThread& t);
@@ -209,108 +134,8 @@ class Core {
   Tick StepNative(HwThread& t, NativeState& ns);
   Tick ExecuteNativeOp(HwThread& t, GuestContext& ctx, const GuestOp& op);
   // Instruction semantics, dispatched by handler id; returns execute latency
-  // (fetch handled by caller). `line`/`slot` are non-null only when dispatch
-  // may stage a fused continuation. Two builds of the same handler bodies:
-  // computed-goto and portable switch (src/cpu/dispatch.inc).
-  Tick DispatchSlot(HwThread& t, const Instruction& inst, uint8_t handler, PredecodedLine* line,
-                    const DecodedSlot* slot) {
-#if CASC_HAS_COMPUTED_GOTO
-    if (threaded_dispatch_) {
-      return ExecSlotGoto(t, inst, handler, line, slot);
-    }
-#endif
-    return ExecSlotSwitch(t, inst, handler, line, slot);
-  }
-#if CASC_HAS_COMPUTED_GOTO
-  Tick ExecSlotGoto(HwThread& t, const Instruction& inst, uint8_t handler, PredecodedLine* line,
-                    const DecodedSlot* slot);
-#endif
-  Tick ExecSlotSwitch(HwThread& t, const Instruction& inst, uint8_t handler, PredecodedLine* line,
-                      const DecodedSlot* slot);
-  // Single-tick faultless ALU subset (IsFusableAlu) for fused heads.
-  // Defined inline: it runs once per fused load+ALU / addi+store pair, and
-  // the handlers in dispatch.inc must absorb it rather than pay a call.
-#if defined(__GNUC__) || defined(__clang__)
-  __attribute__((always_inline))
-#endif
-  inline void
-  ExecFusableAlu(HwThread& t, const Instruction& inst) {
-    const uint64_t rs1 = t.ReadGpr(inst.rs1);
-    const uint64_t rs2 = t.ReadGpr(inst.rs2);
-    const int64_t simm = inst.imm;
-    const uint64_t zimm16 = static_cast<uint16_t>(inst.imm);
-    uint64_t r = 0;
-    switch (inst.op) {
-      case Opcode::kAdd:
-        r = rs1 + rs2;
-        break;
-      case Opcode::kSub:
-        r = rs1 - rs2;
-        break;
-      case Opcode::kAnd:
-        r = rs1 & rs2;
-        break;
-      case Opcode::kOr:
-        r = rs1 | rs2;
-        break;
-      case Opcode::kXor:
-        r = rs1 ^ rs2;
-        break;
-      case Opcode::kSll:
-        r = rs1 << (rs2 & 63);
-        break;
-      case Opcode::kSrl:
-        r = rs1 >> (rs2 & 63);
-        break;
-      case Opcode::kSra:
-        r = static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (rs2 & 63));
-        break;
-      case Opcode::kSlt:
-        r = static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2) ? 1 : 0;
-        break;
-      case Opcode::kSltu:
-        r = rs1 < rs2 ? 1 : 0;
-        break;
-      case Opcode::kAddi:
-        r = rs1 + static_cast<uint64_t>(simm);
-        break;
-      case Opcode::kAndi:
-        r = rs1 & zimm16;
-        break;
-      case Opcode::kOri:
-        r = rs1 | zimm16;
-        break;
-      case Opcode::kXori:
-        r = rs1 ^ zimm16;
-        break;
-      case Opcode::kSlli:
-        r = rs1 << (inst.imm & 63);
-        break;
-      case Opcode::kSrli:
-        r = rs1 >> (inst.imm & 63);
-        break;
-      case Opcode::kSrai:
-        r = static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (inst.imm & 63));
-        break;
-      case Opcode::kSlti:
-        r = static_cast<int64_t>(rs1) < simm ? 1 : 0;
-        break;
-      case Opcode::kLui:
-        r = zimm16 << 16;
-        break;
-      default:
-        return;  // unreachable: heads are filtered by IsFusableAlu at predecode
-    }
-    t.WriteGpr(inst.rd, r);
-  }
-  void StageFusedTail(HwThread& t, Addr tail_pc, PredecodedLine* line, const DecodedSlot* slot) {
-    FusedCont& c = cont_[t.ptid() - ptid_base_];
-    c.pc = tail_pc;
-    c.epoch = code_epoch_;
-    c.line = slot->tail_spans_next ? nullptr : line;
-    c.head = slot;
-    c.kind = static_cast<FusedOp>(slot->fused);
-  }
+  // (fetch handled by caller). Defined in src/cpu/dispatch.inc.
+  Tick DispatchSlot(HwThread& t, const Instruction& inst, uint8_t handler);
   static uint8_t HandlerOf(Opcode op) {
     const uint8_t raw = static_cast<uint8_t>(op);
     return raw < static_cast<uint8_t>(Opcode::kCount) ? raw : static_cast<uint8_t>(vmIllegal);
@@ -333,16 +158,9 @@ class Core {
   HcallHandler hcall_;
   ConcurrencyObserver* chb_ = nullptr;
   bool predecode_enabled_ = true;
-  bool threaded_dispatch_ = true;
-  bool fusion_enabled_ = true;
-  // Bumped on every predecode fill/invalidation; validates continuations.
-  uint64_t code_epoch_ = 1;
-  Ptid ptid_base_;                // first local ptid; indexes cont_
-  std::vector<FusedCont> cont_;   // one staged continuation per local thread
   std::array<PredecodedLine, kPredecodeLines> predecode_;
   uint64_t stat_predecode_hits_ = 0;
   uint64_t stat_predecode_misses_ = 0;
-  std::array<uint64_t, kNumFusedOps> stat_fused_{};
   StatsRegistry::CounterHandle stat_instructions_;
   StatsRegistry::CounterHandle stat_active_cycles_;
   StatsRegistry::CounterHandle stat_idle_wakeups_;

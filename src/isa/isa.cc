@@ -107,77 +107,6 @@ const char* HbRoleName(HbRole role) {
   return "none";
 }
 
-bool IsFusableAlu(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kSll:
-    case Opcode::kSrl:
-    case Opcode::kSra:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
-    case Opcode::kAddi:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kSlli:
-    case Opcode::kSrli:
-    case Opcode::kSrai:
-    case Opcode::kSlti:
-    case Opcode::kLui:
-      return true;
-    default:
-      return false;
-  }
-}
-
-namespace {
-bool IsBranch(Opcode op) {
-  return op == Opcode::kBeq || op == Opcode::kBne || op == Opcode::kBlt ||
-         op == Opcode::kBge || op == Opcode::kBltu || op == Opcode::kBgeu;
-}
-bool IsLoad(Opcode op) {
-  return op == Opcode::kLd || op == Opcode::kLw || op == Opcode::kLh || op == Opcode::kLb;
-}
-bool IsStore(Opcode op) {
-  return op == Opcode::kSd || op == Opcode::kSw || op == Opcode::kSh || op == Opcode::kSb;
-}
-}  // namespace
-
-FusedOp MatchFusionPair(const Instruction& a, const Instruction& b) {
-  if (IsFusableAlu(a.op)) {
-    if (IsBranch(b.op)) {
-      return FusedOp::kCmpBranch;
-    }
-    if (a.op == Opcode::kAddi && IsStore(b.op)) {
-      return FusedOp::kAddiStore;
-    }
-    return FusedOp::kNone;
-  }
-  if (IsLoad(a.op)) {
-    return IsFusableAlu(b.op) ? FusedOp::kLoadAlu : FusedOp::kNone;
-  }
-  if (a.op == Opcode::kMonitor && b.op == Opcode::kMwait) {
-    return FusedOp::kMonitorMwait;
-  }
-  return FusedOp::kNone;
-}
-
-const char* FusedOpName(FusedOp op) {
-  switch (op) {
-    case FusedOp::kNone: return "none";
-    case FusedOp::kCmpBranch: return "cmp_branch";
-    case FusedOp::kLoadAlu: return "load_alu";
-    case FusedOp::kAddiStore: return "addi_store";
-    case FusedOp::kMonitorMwait: return "monitor_mwait";
-    case FusedOp::kCount: break;
-  }
-  return "none";
-}
-
 const char* OpcodeName(Opcode op) {
   switch (op) {
     case Opcode::kNop: return "nop";

@@ -150,30 +150,6 @@ enum class HbRole : uint8_t {
 HbRole OpcodeHbRole(Opcode op);
 const char* HbRoleName(HbRole role);
 
-// Superinstruction fusion patterns (DESIGN.md §4j). The predecode pass pairs
-// two adjacent instructions when the first (the head) matches the pattern's
-// head set and the second (the tail) its tail set; the interpreter then runs
-// the pair as head handler + staged continuation, charging exactly the same
-// per-instruction ticks as the unfused path. Heads are restricted to
-// instructions that either cannot fault or whose fault exits before the pc
-// advances, so a mid-pattern fault de-fuses cleanly.
-enum class FusedOp : uint8_t {
-  kNone = 0,
-  kCmpBranch,      // single-tick ALU/compare feeding a conditional branch
-  kLoadAlu,        // load followed by a single-tick ALU op
-  kAddiStore,      // address/immediate add followed by a store
-  kMonitorMwait,   // the paper's §3.1 monitor→mwait blocking idiom
-  kCount,
-};
-inline constexpr uint32_t kNumFusedOps = static_cast<uint32_t>(FusedOp::kCount);
-
-// True for the single-tick, faultless ALU subset fusable as a kCmpBranch
-// head or kLoadAlu tail (excludes mul/div: different latency, can fault).
-bool IsFusableAlu(Opcode op);
-// Pattern matched by the adjacent pair (a, b), or FusedOp::kNone.
-FusedOp MatchFusionPair(const Instruction& a, const Instruction& b);
-const char* FusedOpName(FusedOp op);
-
 const char* OpcodeName(Opcode op);
 // Assembler-accepted CSR name ("mode", "edp", ...), or nullptr if out of range.
 const char* CsrName(Csr csr);

@@ -1,5 +1,6 @@
 #include "src/sim/config.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -68,6 +69,20 @@ bool Config::ParseArgs(int argc, const char* const* argv, std::string* error) {
     }
   }
   InvalidateCaches();
+  return true;
+}
+
+bool Config::CheckKnownKeys(std::initializer_list<const char*> known,
+                            std::string* error) const {
+  for (const auto& [key, value] : values_) {
+    const auto same = [&key](const char* k) { return key == k; };
+    if (std::none_of(known.begin(), known.end(), same)) {
+      if (error != nullptr) {
+        *error = "unknown option --" + key;
+      }
+      return false;
+    }
+  }
   return true;
 }
 

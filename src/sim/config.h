@@ -5,6 +5,7 @@
 #define SRC_SIM_CONFIG_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,6 +27,12 @@ class Config {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
+
+  // Returns false and sets `error` to "unknown option --<key>" for the first
+  // parsed key not in `known`. Tools call this so a misspelled or retired
+  // flag fails loudly instead of silently running a different configuration.
+  bool CheckKnownKeys(std::initializer_list<const char*> known,
+                      std::string* error = nullptr) const;
 
   // Typed accessors parse each value at most once and memoize the result;
   // Set()/ParseArgs() invalidate the caches. A malformed numeric value

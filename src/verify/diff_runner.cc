@@ -61,19 +61,6 @@ std::vector<LatticePoint> BuildLattice(uint32_t num_cores) {
     p.machine.hwt.security_model = SecurityModel::kSecretKey;
     points.push_back(p);
   }
-  // Interpreter engine knobs (DESIGN.md §4j): fusion and dispatch mechanism
-  // are host-speed choices, so these points must match the default point's
-  // architectural signature bit for bit — including cache/timing stats.
-  {
-    LatticePoint p{"nofusion", BaseMachine(num_cores), true};
-    p.machine.fusion = false;
-    points.push_back(p);
-  }
-  {
-    LatticePoint p{"fused-nothreaded", BaseMachine(num_cores), true};
-    p.machine.threaded_dispatch = false;
-    points.push_back(p);
-  }
   return points;
 }
 

@@ -22,8 +22,7 @@ struct LatticePoint {
   bool predecode = true;
 };
 
-// The built-in configuration lattice. Points 0..4 plus the interpreter
-// engine points ("nofusion", "fused-nothreaded") share one architectural
+// The built-in configuration lattice. Points 0..4 share one architectural
 // signature; "monitor2" narrows the per-thread watch cap and "secretkey"
 // switches the security model (each gets its own reference run).
 const std::vector<LatticePoint>& DefaultLattice();

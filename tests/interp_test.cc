@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -353,107 +352,26 @@ TEST(PredecodeTest, SelfModifyingCodeObservedAfterStore) {
   }
 }
 
-// --- direct-threaded dispatch + superinstruction fusion (§4j) ---------------
-
-// Fusion and threaded dispatch are host-speed knobs only. All four engine
-// combinations must produce identical retire counts, end ticks, architectural
-// state, thread-state trace events, and the byte-identical stats JSON.
-TEST(FusionTest, TraceEquivalentAcrossEngineCombos) {
-  struct Result {
-    uint64_t retired;
-    Tick end;
-    uint64_t a0;
-    std::string stats;
-    std::vector<std::tuple<Tick, Ptid, int, int, int>> events;
-    uint64_t fused_total;
-    uint64_t fused_load_alu;
-    uint64_t fused_cmp_branch;
-  };
-  auto run = [](bool fusion, bool threaded) {
-    MachineConfig cfg;
-    cfg.fusion = fusion;
-    cfg.threaded_dispatch = threaded;
-    Machine m(cfg);
-    ThreadTracer tracer;
-    m.threads().SetTracer(&tracer);
-    const Ptid p = m.LoadSource(0, 0,
-                                "  li a0, 0\n"
-                                "  li a1, 200\n"
-                                "  li a2, 0x8000\n"
-                                "loop:\n"
-                                "  add a0, a0, a1\n"
-                                "  sd a0, 0(a2)\n"
-                                "  ld a3, 0(a2)\n"
-                                "  addi a1, a1, -1\n"
-                                "  bne a1, r0, loop\n"
-                                "  halt\n",
-                                /*supervisor=*/true);
-    m.Start(p);
-    m.RunToQuiescence();
-    Result r;
-    r.retired = m.core(0).instructions_retired();
-    r.end = m.sim().now();
-    r.a0 = m.threads().thread(p).ReadGpr(10);
-    std::ostringstream os;
-    m.sim().stats().DumpJson(os);
-    r.stats = os.str();
-    for (const ThreadTracer::Event& e : tracer.events()) {
-      r.events.push_back({e.tick, e.ptid, static_cast<int>(e.from), static_cast<int>(e.to),
-                          static_cast<int>(e.cause)});
-    }
-    r.fused_total = m.core(0).fused_pairs_total();
-    r.fused_load_alu = m.core(0).fused_pairs(FusedOp::kLoadAlu);
-    r.fused_cmp_branch = m.core(0).fused_pairs(FusedOp::kCmpBranch);
-    return r;
-  };
-  const Result base = run(/*fusion=*/false, /*threaded=*/false);  // legacy-exact engine
-  EXPECT_GT(base.retired, 1000u);
-  EXPECT_EQ(base.fused_total, 0u);
-  for (bool fusion : {false, true}) {
-    for (bool threaded : {false, true}) {
-      if (!fusion && !threaded) {
-        continue;
-      }
-      SCOPED_TRACE(::testing::Message() << "fusion=" << fusion << " threaded=" << threaded);
-      const Result r = run(fusion, threaded);
-      EXPECT_EQ(r.retired, base.retired);
-      EXPECT_EQ(r.end, base.end);
-      EXPECT_EQ(r.a0, base.a0);
-      EXPECT_EQ(r.stats, base.stats);
-      EXPECT_EQ(r.events, base.events);
-      if (fusion) {
-        // The loop body actually exercises the patterns: ld+addi pairs as
-        // kLoadAlu each iteration (its addi tail then can't also fire as a
-        // kCmpBranch head, so the fused-pair mix is load_alu-dominated).
-        EXPECT_GT(r.fused_total, 100u);
-        EXPECT_GT(r.fused_load_alu, 100u);
-      } else {
-        EXPECT_EQ(r.fused_total, 0u);
-      }
-    }
-  }
-}
-
-// Regression for the span rule: a fused pair whose head sits in the last
-// slot of a predecode line caches a copy of the *next* line's first word as
-// its tail. A store to that next line must drop the previous line's entry
-// too, or the head keeps replaying the stale tail. Before the fix, this test
-// fell through to the old branch target and read a4 == 55.
-TEST(FusionTest, SpanningPairTailWriteInvalidatesHeadLine) {
-  // Hand-placed so the cmp+branch head lands in slot 15 of the line at
-  // 0x1000 and its branch tail is word 0 of the line at 0x1040:
-  //   idx0   addi a1, r0, 0x1040   ; a1 = tail word address
+// A store into another code line that is already predecoded must be seen
+// when execution comes back to it. The rewritten word is the first slot of
+// the line after the store's own line, and it ran on the first pass. Run
+// from a stale decode, the second pass falls through to idx17 (a4 == 55);
+// the rewritten word jumps to idx19 (a4 == 99).
+TEST(PredecodeTest, CodeWriteToAnotherPredecodedLineObserved) {
+  // Hand-placed so idx15 is the last slot of the line at 0x1000 and idx16 is
+  // word 0 of the line at 0x1040:
+  //   idx0   addi a1, r0, 0x1040   ; a1 = address of idx16
   //   idx1   addi a3, r0, 1        ; first-pass flag
-  //   idx2   beq  r0, r0, ->idx15  ; jump to the head
-  //   idx3   sw   a2, 0(a1)        ; second pass: overwrite the tail word
+  //   idx2   beq  r0, r0, ->idx15
+  //   idx3   sw   a2, 0(a1)        ; second pass: overwrite idx16
   //   idx4   addi a3, r0, 0
   //   idx5   beq  r0, r0, ->idx15
   //   idx6..14  nop
-  //   idx15  addi a5, a5, 1        ; HEAD (fusable ALU, slot 15)
-  //   idx16  bne  a3, r0, ->idx3   ; TAIL (word 0 of the next line)
-  //   idx17  addi a4, r0, 55       ; stale-tail fall-through
+  //   idx15  addi a5, a5, 1        ; counts passes
+  //   idx16  bne  a3, r0, ->idx3   ; rewritten to "beq r0, r0, ->idx19"
+  //   idx17  addi a4, r0, 55       ; stale-decode fall-through
   //   idx18  halt
-  //   idx19  addi a4, r0, 99       ; target of the rewritten tail
+  //   idx19  addi a4, r0, 99       ; target of the rewritten word
   //   idx20  halt
   auto branch_imm = [](int from_idx, int to_idx) {
     return to_idx - from_idx - 1;  // target = pc + 4 + imm*4
@@ -475,77 +393,23 @@ TEST(FusionTest, SpanningPairTailWriteInvalidatesHeadLine) {
   words.push_back(Encode(Instruction{Opcode::kHalt, 0, 0, 0, 0}));            // idx18
   words.push_back(Encode(Instruction{Opcode::kAddi, 14, 0, 0, 99}));          // idx19
   words.push_back(Encode(Instruction{Opcode::kHalt, 0, 0, 0, 0}));            // idx20
-  for (bool fusion : {true, false}) {
-    SCOPED_TRACE(::testing::Message() << "fusion=" << fusion);
-    MachineConfig cfg;
-    cfg.fusion = fusion;
-    Machine m(cfg);
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "predecode=" << predecode);
+    Machine m;
+    m.SetPredecodeEnabled(predecode);
     Program prog;
     prog.base = 0x1000;  // 64-aligned: idx15 is the line's last slot
     prog.bytes.resize(words.size() * 4);
     memcpy(prog.bytes.data(), words.data(), prog.bytes.size());
     m.Load(0, 0, prog, /*supervisor=*/true);
     const Ptid p = m.threads().PtidOf(0, 0);
-    // a2 holds the replacement tail: "beq r0, r0, ->idx19".
+    // a2 holds the replacement word: "beq r0, r0, ->idx19".
     m.threads().thread(p).WriteGpr(12, Encode(Instruction{Opcode::kBeq, 0, 0, 0, 2}));
     m.Start(p);
     m.RunToQuiescence();
     EXPECT_EQ(m.threads().thread(p).ReadGpr(14), 99u);  // not the stale 55
-    EXPECT_EQ(m.threads().thread(p).ReadGpr(15), 2u);   // head ran twice
-    if (fusion) {
-      EXPECT_GT(m.core(0).fused_pairs(FusedOp::kCmpBranch), 0u);
-    }
+    EXPECT_EQ(m.threads().thread(p).ReadGpr(15), 2u);   // idx15 ran twice
   }
-}
-
-// A fault on the head of a fused pair must de-fuse: the exception fires with
-// the head's pc, no continuation is staged, and the run is tick- and
-// stats-identical to the unfused engine.
-TEST(FusionTest, MidSequenceFaultDeFusesIdentically) {
-  struct Result {
-    Tick end;
-    bool halted;
-    int why;
-    uint64_t a3, a4;
-    std::string stats;
-  };
-  auto run = [](bool fusion) {
-    MachineConfig cfg;
-    cfg.fusion = fusion;
-    Machine m(cfg);
-    m.mem().AddSupervisorOnlyRange(0x20000, 0x1000);
-    // User mode, no handler installed: ld faults (kPageFault) and the
-    // machine halts. ld+add is a kLoadAlu pair when fusion is on.
-    const Ptid p = m.LoadSource(0, 0,
-                                "  lui a2, 2\n"       // a2 = 0x20000
-                                "  ld a3, 0(a2)\n"    // faults: supervisor-only
-                                "  add a4, a3, a3\n"  // fused tail, must not run
-                                "  halt\n",
-                                /*supervisor=*/false);
-    m.Start(p);
-    m.RunToQuiescence();
-    Result r;
-    r.end = m.sim().now();
-    r.halted = m.halted();
-    r.why = static_cast<int>(m.halt_why());
-    r.a3 = m.threads().thread(p).ReadGpr(13);
-    r.a4 = m.threads().thread(p).ReadGpr(14);
-    std::ostringstream os;
-    m.sim().stats().DumpJson(os);
-    r.stats = os.str();
-    return r;
-  };
-  const Result fused = run(true);
-  const Result plain = run(false);
-  EXPECT_TRUE(fused.halted);
-  EXPECT_EQ(fused.a3, 0u);  // load never completed
-  EXPECT_EQ(fused.a4, 0u);  // tail never executed
-  EXPECT_EQ(fused.end, plain.end);
-  EXPECT_EQ(fused.halted, plain.halted);
-  EXPECT_EQ(fused.why, plain.why);
-  EXPECT_EQ(fused.a3, plain.a3);
-  EXPECT_EQ(fused.a4, plain.a4);
-  EXPECT_EQ(fused.stats, plain.stats);
 }
 
 }  // namespace

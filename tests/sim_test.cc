@@ -783,6 +783,17 @@ TEST(ConfigTest, RejectsMalformed) {
   EXPECT_NE(err.find("oops"), std::string::npos);
 }
 
+TEST(ConfigTest, CheckKnownKeysNamesTheFirstUnknownKey) {
+  const char* argv[] = {"prog", "--seed=3", "--max-cyclez=5", "--trace"};
+  Config cfg;
+  ASSERT_TRUE(cfg.ParseArgs(4, argv));
+  std::string err;
+  EXPECT_TRUE(cfg.CheckKnownKeys({"seed", "max-cyclez", "trace"}, &err));
+  EXPECT_FALSE(cfg.CheckKnownKeys({"seed", "max-cycles", "trace"}, &err));
+  EXPECT_EQ(err, "unknown option --max-cyclez");
+  EXPECT_TRUE(Config().CheckKnownKeys({}));  // no flags given: nothing to reject
+}
+
 TEST(ConfigTest, MalformedValueReturnsDefaultAndRecordsError) {
   Config cfg;
   cfg.Set("threads", "12abc");  // trailing junk

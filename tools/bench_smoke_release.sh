@@ -19,10 +19,11 @@ ctest --test-dir "$BUILD" -L bench-smoke -j"$(nproc)" --output-on-failure
 
 # Interpreter throughput gate (DESIGN.md §4j): a full (non-smoke) t2_simhost
 # run's "interp" row must clear an absolute Minsts/s floor, so a regression in
-# the direct-threaded dispatch loop or the fusion pass fails this tier even
-# when every schema check passes. The default floor sits between the PR 7
-# engine (~41 Minsts/s best on the reference CI host) and the PR 8 engine's
-# observed worst round (~51), leaving margin for this host's ±10% drift.
+# the interpreter's dispatch loop fails this tier even when every schema
+# check passes. The default floor sits between the interpreter before
+# predecoded handler ids and the single-pass scheduler scan (~41 Minsts/s
+# best on the reference CI host, EXPERIMENTS.md T2) and the engine with them
+# (~51, its observed worst round), leaving margin for ±10% drift.
 # Override for slower CI hosts with CASC_BENCH_INTERP_FLOOR (Minsts/s); set
 # it to 0 to disable the gate.
 FLOOR=${CASC_BENCH_INTERP_FLOOR:-48}

@@ -54,7 +54,7 @@ bool LoadJson(const std::string& path, JsonValue* out) {
 //  value}...]} — results must be non-empty and every value finite.
 // `interp_floor_minsts` > 0 additionally gates the t2_simhost "interp" row's
 // host throughput (Minsts/s) — the Release bench-smoke tier's perf
-// regression fence for the direct-threaded/fused engine (§4j).
+// regression fence for the interpreter's dispatch loop (§4j).
 void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
   JsonValue root;
   if (!LoadJson(path, &root)) {
@@ -139,52 +139,14 @@ void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
       }
     }
     // The host-parallel scaling sweep (DESIGN.md §4i) and the interpreter
-    // engine ablation ladder (§4j) must be present: a refactor that silently
-    // dropped the sharded-engine or dispatch/fusion rows would otherwise
-    // still pass the per-config checks above.
-    for (const char* required :
-         {"multicore8_ht1", "multicore8_ht2", "multicore8_ht4", "multicore8_ht8", "interp",
-          "interp_threaded", "interp_fused", "interp_fused_nothreaded", "interp_nopredecode"}) {
+    // predecode ablation (§4j) must be present: a refactor that silently
+    // dropped the sharded-engine or interpreter rows would otherwise still
+    // pass the per-config checks above.
+    for (const char* required : {"multicore8_ht1", "multicore8_ht2", "multicore8_ht4",
+                                 "multicore8_ht8", "interp", "interp_nopredecode"}) {
       if (host_ms_ok.find(required) == host_ms_ok.end()) {
         Fail(path, "simhost sweep missing required config \"" + std::string(required) + "\"");
       }
-    }
-    // The fused row must carry the per-pattern fusion-hit-rate stats (§4j):
-    // every fused_pairs_* count present and finite, and the overall pair
-    // rate present. The count-loop workload fuses its addi+bne pair, so the
-    // rate must also be strictly positive — a fusion pass that silently
-    // stopped matching would zero it.
-    bool rate_ok = false;
-    std::map<std::string, bool> pattern_ok = {{"fused_pairs_cmp_branch", false},
-                                              {"fused_pairs_load_alu", false},
-                                              {"fused_pairs_addi_store", false},
-                                              {"fused_pairs_monitor_mwait", false}};
-    for (const JsonValue& r : results->arr) {
-      if (!r.is_object()) {
-        continue;
-      }
-      const JsonValue* config = r.Find("config");
-      const JsonValue* metric = r.Find("metric");
-      const JsonValue* value = r.Find("value");
-      if (config == nullptr || !config->is_string() || config->str_v != "interp_fused" ||
-          metric == nullptr || !metric->is_string()) {
-        continue;
-      }
-      auto it = pattern_ok.find(metric->str_v);
-      if (it != pattern_ok.end() && IsFiniteNumber(value) && value->num_v >= 0) {
-        it->second = true;
-      }
-      if (metric->str_v == "fused_pair_rate" && IsFiniteNumber(value) && value->num_v > 0) {
-        rate_ok = true;
-      }
-    }
-    for (const auto& [metric, ok] : pattern_ok) {
-      if (!ok) {
-        Fail(path, "simhost config \"interp_fused\" missing \"" + metric + "\"");
-      }
-    }
-    if (!rate_ok) {
-      Fail(path, "simhost config \"interp_fused\" missing positive \"fused_pair_rate\"");
     }
     if (interp_floor_minsts > 0) {
       double interp_minsts = -1;
@@ -204,7 +166,7 @@ void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
       if (interp_minsts < interp_floor_minsts) {
         std::ostringstream msg;
         msg << "simhost \"interp\" throughput " << interp_minsts << " Minsts/s below the floor "
-            << interp_floor_minsts << " (dispatch/fusion perf regression)";
+            << interp_floor_minsts << " (interpreter dispatch perf regression)";
         Fail(path, msg.str());
       }
     }

@@ -28,7 +28,7 @@
 // --expect-halt (edp-unwritable only) removes the
 // top-level handler so the chain exhausts and the machine halts cleanly.
 // Exit code: 0 if every scenario met its expectation, 1 otherwise, 2 on
-// usage errors.
+// usage errors (including any unknown --flag).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -50,7 +50,6 @@ void PrintUsage(FILE* out) {
                "                  [--duration=N] [--at=T | --every=N | --prob=P]\n"
                "                  [--expect-halt] [--host-threads=N] "
                "[--stats-json=<path>]\n"
-               "                  [--no-fusion] [--no-threaded-dispatch]\n"
                "                  [--trace-json=<path>] [--list] [--help]\n");
 }
 
@@ -101,7 +100,11 @@ void WriteWrappedStats(std::ostream& os, const std::vector<ScenarioOutcome>& out
 int main(int argc, char** argv) {
   Config cfg;
   std::string err;
-  if (!cfg.ParseArgs(argc, argv, &err)) {
+  if (!cfg.ParseArgs(argc, argv, &err) ||
+      !cfg.CheckKnownKeys({"scenario", "seed", "faults", "duration", "at", "every", "prob",
+                           "expect-halt", "host-threads", "stats-json", "trace-json", "list",
+                           "help"},
+                          &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     PrintUsage(stderr);
     return 2;
@@ -119,11 +122,6 @@ int main(int argc, char** argv) {
   // process default" sentinel, so this one call threads the flag through to
   // every machine the campaign builds.
   SetDefaultHostThreads(static_cast<uint32_t>(cfg.GetUint("host-threads", 0)));
-  // Interpreter engine kill switches (DESIGN.md §4j): scenario machines are
-  // built internally, so the cross-engine byte-compare in
-  // tools/chaos_determinism.sh reaches them through the process defaults.
-  SetDefaultFusionEnabled(!cfg.GetBool("no-fusion", false));
-  SetDefaultThreadedDispatchEnabled(!cfg.GetBool("no-threaded-dispatch", false));
 
   ScenarioOptions opts;
   opts.seed = cfg.GetUint("seed", 1);

@@ -42,7 +42,7 @@
 //
 // --repro re-runs one saved case and reports pass/fail; --corpus runs every
 // `.casm` file in a directory (regression mode; no shrinking). Exit code:
-// 0 clean, 1 failure found, 2 usage error.
+// 0 clean, 1 failure found, 2 usage error (including any unknown --flag).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -105,7 +105,11 @@ int RunOneSource(const std::string& source, const std::string& label, const Diff
 int main(int argc, char** argv) {
   Config cfg;
   std::string err;
-  if (!cfg.ParseArgs(argc, argv, &err)) {
+  if (!cfg.ParseArgs(argc, argv, &err) ||
+      !cfg.CheckKnownKeys({"seed", "iters", "points", "max-events", "out", "determinism",
+                           "race-check", "host-threads", "cores", "chaos", "chaos-seed",
+                           "fault-mask", "watchdog-ticks", "list-points", "repro", "corpus"},
+                          &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 
 #include "src/analysis/lint.h"
@@ -46,18 +45,12 @@ int main(int argc, char** argv) {
   const std::string path = argv[1];
   Config cfg;
   std::string err;
-  if (!cfg.ParseArgs(argc - 1, argv + 1, &err)) {
+  if (!cfg.ParseArgs(argc - 1, argv + 1, &err) ||
+      !cfg.CheckKnownKeys({"base", "entry", "user", "assume-edp", "tdt-capacity", "format",
+                           "json", "no-notes"},
+                          &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return Usage();
-  }
-  static const std::set<std::string> kKnown = {
-      "base", "entry", "user", "assume-edp", "tdt-capacity", "format",
-      "json", "no-notes"};
-  for (const auto& [key, value] : cfg.values()) {
-    if (!kKnown.count(key)) {
-      std::fprintf(stderr, "unknown option --%s\n", key.c_str());
-      return Usage();
-    }
   }
   const std::string format =
       cfg.GetBool("json", false) ? "json" : cfg.GetString("format", "text");
