@@ -1,7 +1,8 @@
 #include "src/cpu/core.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -16,6 +17,7 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, Core
       l1i_hit_latency_(mem.config().l1i.hit_latency),
       eq_(&sim.QueueFor(sim.num_shards() != 0 ? id : 0)),
       tick_event_(this),
+      native_base_(ts.PtidOf(id, 0)),
       stat_instructions_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".instructions")),
       stat_active_cycles_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".active_cycles")),
       stat_idle_wakeups_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".idle_wakeups")) {
@@ -41,10 +43,21 @@ void Core::FillPredecodeLine(PredecodedLine& line, Addr base) {
 }
 
 void Core::BindNative(Ptid ptid, NativeProgram program) {
-  assert(ts_.CoreOf(ptid) == id_);
-  NativeState ns;
+  // Checked in every build: a foreign ptid would index past this core's table.
+  if (ts_.CoreOf(ptid) != id_) {
+    std::fprintf(stderr, "BindNative: ptid %u is not on core %u\n", ptid, id_);
+    std::abort();
+  }
+  if (native_.empty()) {
+    const uint32_t n = ts_.config().threads_per_core;
+    native_.reserve(n);
+    for (uint32_t i = 0; i < n; i++) {
+      native_.emplace_back(native_base_ + i);
+    }
+  }
+  NativeState& ns = native_[ptid - native_base_];
+  ns.Reset();
   ns.program = std::move(program);
-  native_[ptid] = std::move(ns);
   has_native_ = true;
 }
 
@@ -145,8 +158,8 @@ void Core::Cycle() {
 Tick Core::Step(HwThread& t) {
   Tick latency = 0;
   if (has_native_) {
-    auto it = native_.find(t.ptid());
-    latency = it != native_.end() ? StepNative(t, it->second) : StepInterpreted(t);
+    NativeState& ns = native_[t.ptid() - native_base_];
+    latency = ns.program ? StepNative(t, ns) : StepInterpreted(t);
   } else {
     latency = StepInterpreted(t);
   }
@@ -187,34 +200,40 @@ Tick Core::StepInterpreted(HwThread& t) {
 #include "src/cpu/dispatch.inc"  // NOLINT(build/include)
 
 Tick Core::StepNative(HwThread& t, NativeState& ns) {
-  if (!ns.task.valid() || ns.task.done() || ns.ctx->faulted()) {
-    ns.ctx = std::make_unique<GuestContext>(t.ptid());
-    ns.task = ns.program(*ns.ctx);
-  }
-  if (!ns.ctx->has_pending()) {
-    ns.ctx->ResumeLeaf(ns.task.handle());
-    if (ns.task.done()) {
-      ts_.Disable(t.ptid());
-      return 1;
+  GuestContext& ctx = ns.ctx;
+  GuestOp& pending = ctx.pending();
+  // Most native steps tick a pending Compute op, so that case is tested
+  // first: while an op is pending the task is suspended on it and cannot be
+  // done, so the coroutine frame need not be read.
+  if (pending.kind != GuestOp::Kind::kCompute || ctx.faulted()) {
+    if (!ns.task.valid() || ns.task.done() || ctx.faulted()) {
+      ns.Reset();
+      ns.task = ns.program(ctx);
     }
-    if (!ns.ctx->has_pending()) {
-      return 1;  // treat a bare suspension as a one-cycle yield
+    if (!ctx.has_pending()) {
+      ctx.ResumeLeaf(ns.task.handle());
+      if (ns.task.done()) {
+        ts_.Disable(t.ptid());
+        return 1;
+      }
+      if (!ctx.has_pending()) {
+        return 1;  // treat a bare suspension as a one-cycle yield
+      }
+    }
+    if (pending.kind != GuestOp::Kind::kCompute) {
+      const GuestOp op = ctx.TakePending();
+      return ExecuteNativeOp(t, ctx, op);
     }
   }
   // Compute ops issue one cycle per pick: the thread competes for SMT slots
   // cycle by cycle (fine-grain multiplexing, §4), instead of reserving the
   // whole duration up front.
-  GuestOp& pending = ns.ctx->pending();
-  if (pending.kind == GuestOp::Kind::kCompute) {
-    if (pending.cycles > 1) {
-      pending.cycles--;
-      return 1;
-    }
-    ns.ctx->Complete(0);
-    return 1;
+  if (pending.cycles > 1) {
+    pending.cycles--;
+  } else {
+    ctx.Complete(0);
   }
-  const GuestOp op = ns.ctx->TakePending();
-  return ExecuteNativeOp(t, *ns.ctx, op);
+  return 1;
 }
 
 Tick Core::ExecuteNativeOp(HwThread& t, GuestContext& ctx, const GuestOp& op) {

@@ -11,8 +11,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cpu/guest.h"
@@ -57,9 +55,9 @@ class Core {
 
   CoreId id() const { return id_; }
 
-  // Binds a native coroutine program to a local hardware thread. The
-  // coroutine is (re)instantiated when the thread is started with no live
-  // instance.
+  // Binds a native coroutine program to a local hardware thread, replacing
+  // any earlier binding (and dropping its live instance). The coroutine is
+  // (re)instantiated when the thread is started with no live instance.
   void BindNative(Ptid ptid, NativeProgram program);
 
   void SetHcallHandler(HcallHandler handler) { hcall_ = std::move(handler); }
@@ -93,10 +91,20 @@ class Core {
   uint64_t fused_pairs_total() const { return 0; }
 
  private:
+  // One slot per local hardware thread. The context sits inline: the table
+  // is sized once and never resized, so the GuestContext& that a live
+  // coroutine frame holds stays valid for the frame's lifetime.
   struct NativeState {
-    NativeProgram program;
+    explicit NativeState(Ptid ptid) : ctx(ptid) {}
+    // Drops the live instance, if any, and clears the context in place. The
+    // instance's frames point into ctx, so they are destroyed first.
+    void Reset() {
+      task = GuestTask{};
+      ctx = GuestContext(ctx.ptid());
+    }
+    GuestContext ctx;
     GuestTask task;
-    std::unique_ptr<GuestContext> ctx;
+    NativeProgram program;  // empty: the thread runs interpreted code
   };
 
   // The per-cycle tick fires every simulated tick the core is active; a
@@ -153,7 +161,10 @@ class Core {
   EventQueue* eq_;
   TickEvent tick_event_;
   std::vector<HwThread*> picked_;  // PickUpTo scratch, sized smt_width at construction
-  std::unordered_map<Ptid, NativeState> native_;
+  // Indexed by local thread index (ptid - native_base_); allocated on the
+  // first BindNative, so interpreted-only cores never touch it.
+  std::vector<NativeState> native_;
+  Ptid native_base_;         // ts.PtidOf(id, 0)
   bool has_native_ = false;  // skips the native_ lookup on all-interpreted cores
   HcallHandler hcall_;
   ConcurrencyObserver* chb_ = nullptr;

@@ -1,6 +1,9 @@
 #include "src/mem/cache.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
+#include <new>
 
 namespace casc {
 
@@ -13,8 +16,16 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   if (std::has_single_bit(num_sets_)) {
     set_shift_ = std::countr_zero(num_sets_);
   }
-  lines_.resize(static_cast<size_t>(num_sets_) * config_.ways);
+  const size_t count = static_cast<size_t>(num_sets_) * config_.ways;
+  void* p = mmap(nullptr, count * sizeof(Line), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  lines_ = std::span<Line>(static_cast<Line*>(p), count);
 }
+
+Cache::~Cache() { munmap(lines_.data(), lines_.size_bytes()); }
 
 void Cache::PinRange(Addr base, uint64_t size) {
   pinned_ranges_.push_back({base, base + size});

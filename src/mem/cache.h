@@ -6,7 +6,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -23,6 +25,9 @@ struct CacheConfig {
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
+  ~Cache();
+  Cache(const Cache&) = delete;
+  Cache& operator=(const Cache&) = delete;
 
   // A memoized hit: a pointer to the line that served a previous read access,
   // validated against the cache's structural epoch. The epoch advances on any
@@ -120,13 +125,16 @@ class Cache {
   uint64_t num_lines() const { return static_cast<uint64_t>(num_sets_) * config_.ways; }
 
  private:
+  // All-zero bytes are an empty (invalid, clean, unpinned) line, so the line
+  // array starts as fresh zero pages with no initialising pass.
   struct Line {
-    Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    bool pinned = false;
-    uint64_t lru = 0;  // higher = more recently used
+    Addr tag;
+    bool valid;
+    bool dirty;
+    bool pinned;
+    uint64_t lru;  // higher = more recently used
   };
+  static_assert(std::is_trivial_v<Line>);
 
   // Set count is a power of two for every stock config; the masked path keeps
   // two 64-bit divisions off the per-access critical path. Results are
@@ -147,7 +155,12 @@ class Cache {
   CacheConfig config_;
   uint32_t num_sets_;
   int set_shift_ = -1;  // log2(num_sets_) when a power of two, else -1
-  std::vector<Line> lines_;  // num_sets_ * ways, set-major
+  // num_sets_ * ways, set-major. The array is an anonymous mapping of its own
+  // rather than a heap block: an 8 MiB L3 is 3 MiB of lines, and a process
+  // that builds and drops machines in turn would otherwise need a free heap
+  // hole that large each time, growing the heap whenever fragmentation has
+  // left none. Pages are faulted in as sets are first touched.
+  std::span<Line> lines_;
   std::vector<std::pair<Addr, Addr>> pinned_ranges_;  // [base, end)
   // Structural epoch for LineRef validation; starts at 1 so a default
   // (zeroed) ref never replays.

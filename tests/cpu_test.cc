@@ -449,6 +449,175 @@ TEST(CpuTest, NativeRestartAfterCompletionRunsFreshInstance) {
   EXPECT_EQ(runs, 2);
 }
 
+// The core keeps native state in a table indexed by local thread index
+// (ptid - PtidOf(core, 0)); the highest ptid of a non-zero core exercises
+// both ends of that arithmetic.
+TEST(CpuTest, NativeOnLastLocalThreadOfSecondCore) {
+  MachineConfig cfg;
+  cfg.num_cores = 2;
+  Machine m(cfg);
+  const uint32_t last = cfg.hwt.threads_per_core - 1;
+  const Ptid p = m.BindNative(
+      1, last,
+      [](GuestContext& ctx) -> GuestTask {
+        co_await ctx.Compute(20);
+        co_await ctx.Store(0xb000, ctx.ptid());
+      },
+      true);
+  EXPECT_EQ(p, m.threads().PtidOf(1, last));
+  m.Start(p);
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(m.mem().phys().Read64(0xb000), p);
+  EXPECT_EQ(m.threads().thread(p).state(), ThreadState::kDisabled);
+}
+
+TEST(CpuTest, BindNativeRejectsPtidOfAnotherCore) {
+  MachineConfig cfg;
+  cfg.num_cores = 2;
+  Machine m(cfg);
+  const Ptid foreign = m.threads().PtidOf(1, 0);
+  EXPECT_DEATH(m.core(0).BindNative(foreign, [](GuestContext&) -> GuestTask { co_return; }),
+               "not on core 0");
+}
+
+// A native thread stopped by another thread mid-Compute keeps its instance:
+// on restart it finishes the remaining cycles, and its program body is not
+// re-run.
+TEST(CpuTest, NativeStoppedMidComputeResumesRemainingCycles) {
+  constexpr Tick kCompute = 1000;
+  constexpr Tick kStopAfter = 300;
+  Machine m;
+  int runs = 0;
+  Tick began = 0;
+  Tick done_at = 0;
+  const Ptid worker = m.BindNative(
+      0, 1,
+      [&](GuestContext& ctx) -> GuestTask {
+        runs++;
+        began = m.sim().now();  // the first compute cycle issues this tick
+        co_await ctx.Compute(kCompute);
+        done_at = m.sim().now();
+      },
+      true);
+  const Ptid boss = m.BindNative(
+      0, 0,
+      [worker](GuestContext& ctx) -> GuestTask {
+        co_await ctx.Compute(kStopAfter);
+        co_await ctx.Stop(worker);  // supervisor identity mapping
+      },
+      true);
+  m.Start(worker);
+  m.Start(boss);
+  ASSERT_TRUE(m.RunToQuiescence());
+  ASSERT_EQ(m.threads().thread(worker).state(), ThreadState::kDisabled);
+  EXPECT_EQ(done_at, 0u);
+  // Two threads on two SMT slots: the worker issued every tick from `began`
+  // up to its last step, which left ready_at one tick past it.
+  const Tick consumed = m.threads().thread(worker).ready_at() - began;
+  ASSERT_GT(consumed, 0u);
+  ASSERT_LT(consumed, kCompute);
+
+  m.Start(worker);
+  const Tick first_issue = m.threads().thread(worker).ready_at();
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(runs, 1);
+  // Alone on the core it issues every tick; the tick after the last compute
+  // cycle resumes the coroutine.
+  EXPECT_EQ(done_at, first_issue + (kCompute - consumed));
+  EXPECT_EQ(m.threads().thread(worker).state(), ThreadState::kDisabled);
+}
+
+TEST(CpuTest, NativeRebindReplacesProgram) {
+  Machine m;
+  int first_runs = 0;
+  const Ptid p = m.BindNative(
+      0, 0,
+      [&first_runs](GuestContext& ctx) -> GuestTask {
+        first_runs++;
+        co_await ctx.Compute(1'000'000);
+        co_await ctx.Store(0xb000, 1);
+      },
+      true);
+  m.Start(p);
+  m.RunFor(100);
+  // Stopped mid-compute: the rebind must drop the live instance and its
+  // pending op, not finish them under the new program.
+  m.threads().HostStop(p);
+  m.BindNative(
+      0, 0,
+      [](GuestContext& ctx) -> GuestTask {
+        co_await ctx.Compute(10);
+        co_await ctx.Store(0xb000, 2);
+      },
+      true);
+  m.Start(p);
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(first_runs, 1);
+  EXPECT_EQ(m.mem().phys().Read64(0xb000), 2u);
+  EXPECT_LT(m.sim().now(), 1'000u);
+}
+
+TEST(CpuTest, InterpretedAndNativeShareOneCore) {
+  Machine m;
+  HcallLog log;
+  log.InstallOn(m);
+  const Ptid interp = m.LoadSource(0, 0,
+                                   "  li a0, 0\n"
+                                   "  li a1, 1\n"
+                                   "  li a2, 101\n"
+                                   "loop:\n"
+                                   "  add a0, a0, a1\n"
+                                   "  addi a1, a1, 1\n"
+                                   "  bne a1, a2, loop\n"
+                                   "  hcall 1\n"
+                                   "  halt\n",
+                                   true);
+  const Ptid native = m.BindNative(
+      0, 1,
+      [](GuestContext& ctx) -> GuestTask {
+        uint64_t acc = 0;
+        for (uint64_t i = 1; i <= 100; i++) {
+          co_await ctx.Compute(2);
+          acc += i;
+        }
+        co_await ctx.Store(0xb000, acc);
+      },
+      true);
+  m.Start(interp);
+  m.Start(native);
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(log.Last(1), 5050u);
+  EXPECT_EQ(m.mem().phys().Read64(0xb000), 5050u);
+  EXPECT_EQ(m.threads().thread(interp).state(), ThreadState::kDisabled);
+  EXPECT_EQ(m.threads().thread(native).state(), ThreadState::kDisabled);
+}
+
+TEST(CpuTest, NativeRestartAfterFaultRunsFreshInstance) {
+  Machine m;
+  m.mem().AddSupervisorOnlyRange(0x00f00000, 0x1000);
+  int runs = 0;
+  const Ptid p = m.BindNative(
+      0, 0,
+      [&runs](GuestContext& ctx) -> GuestTask {
+        runs++;
+        co_await ctx.Compute(5);
+        // The first instance faults; the second takes the legal path.
+        co_await ctx.Store(runs == 1 ? 0x00f00000 : 0xb000, 7);
+      },
+      /*supervisor=*/false, /*edp=*/0xa000);
+  m.Start(p);
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(m.threads().thread(p).state(), ThreadState::kDisabled);
+  EXPECT_EQ(ExceptionDescriptor::ReadFrom(m.mem(), 0xa000).type,
+            static_cast<uint32_t>(ExceptionType::kPageFault));
+  m.Start(p);
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(m.mem().phys().Read64(0xb000), 7u);
+  EXPECT_EQ(m.threads().thread(p).state(), ThreadState::kDisabled);
+}
+
 TEST(CpuTest, NativeStartsInterpretedWorkerAcrossCores) {
   MachineConfig cfg;
   cfg.num_cores = 2;

@@ -76,6 +76,34 @@ TEST(CacheTest, InvalidateReportsDirty) {
   EXPECT_FALSE(c.Invalidate(0x200));
 }
 
+// Line arrays start as fresh zero pages: a cache built after another one
+// was filled (dirty, pinned) and dropped must start empty, cold and clean.
+TEST(CacheTest, FreshCacheStartsEmptyAfterAnotherIsDropped) {
+  const CacheConfig cfg{"l3", 8u << 20, 16, 40};
+  const uint64_t lines = (8u << 20) / kLineSize;
+  {
+    Cache used(cfg);
+    used.PinRange(0, 64 * lines);
+    for (uint64_t i = 0; i < lines; i++) {
+      used.Access(i * kLineSize, true);
+    }
+    ASSERT_TRUE(used.Probe(0));
+  }
+  Cache c(cfg);
+  EXPECT_EQ(c.num_lines(), lines);
+  for (uint64_t i = 0; i < lines; i += 4099) {
+    EXPECT_FALSE(c.Probe(i * kLineSize));
+  }
+  bool evicted_dirty = true;
+  EXPECT_FALSE(c.Access(0, false, &evicted_dirty));
+  EXPECT_FALSE(evicted_dirty);
+  EXPECT_TRUE(c.Access(0, false));
+  EXPECT_FALSE(c.Invalidate(0));  // the refill was clean
+  EXPECT_EQ(c.misses(), 1u);
+  EXPECT_EQ(c.writebacks(), 0u);
+  EXPECT_EQ(c.bypasses(), 0u);
+}
+
 TEST(CachePinTest, PinnedLinesSurviveThrash) {
   // 2-way, 2-set cache; pin one line and thrash its set with conflicting
   // unpinned fills: the pinned line must stay resident (§4 partitioning).

@@ -5,7 +5,8 @@
 //
 // `--list` prints an address / encoding / disassembly listing with symbols.
 // `--lint` runs the static analyzer over the assembled image and fails the
-// assembly (exit 1) if it reports any errors.
+// assembly (exit 1) if it reports any errors. A flag the mode does not take
+// is a usage error (exit 2).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -69,7 +70,9 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
   Config cfg;
   std::string err;
-  if (!cfg.ParseArgs(argc - 2, argv + 2, &err)) {
+  if (!cfg.ParseArgs(argc - 2, argv + 2, &err) ||
+      (mode == "assemble" && !cfg.CheckKnownKeys({"base", "out", "list", "lint"}, &err)) ||
+      (mode == "disasm" && !cfg.CheckKnownKeys({"base"}, &err))) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return Usage();
   }
