@@ -10,6 +10,12 @@
 //   FarFutureMigration   64 events that each reschedule themselves 6000
 //                        ticks ahead (the fabric wire latency), so every fire
 //                        goes heap -> wheel -> fire.
+//   FarFutureReschedule  64 far-future events, one of which is moved to
+//                        another far tick per iteration before any fires: a
+//                        removal from anywhere in the heap plus a push.
+//   SameTickActors/4     four events that each reschedule themselves one
+//                        tick ahead, so four fire per tick: the shape of four
+//                        busy cores (rpc_fabric's four nodes).
 //   QuietAdvance         a lone actor that moves the clock one tick at a time
 //                        with AdvanceIfIdle from inside its own Fire(), as
 //                        Core::Cycle does when its core is the only live
@@ -17,7 +23,8 @@
 //                        simulated progress without the round trip.
 //
 // Each benchmark iteration is one fired event (one quiet advance for
-// QuietAdvance); items/s is events/s.
+// QuietAdvance, one reschedule for FarFutureReschedule); items/s is
+// events/s.
 //
 //   build/bench/bench_micro_eventq                          # full run
 //   build/bench/bench_micro_eventq --benchmark_min_time=0.01  # smoke
@@ -82,6 +89,43 @@ void BM_FarFutureMigration(benchmark::State& state) {
 }
 // 6000 > EventQueue::kWheelTicks: every reschedule overflows into the heap.
 BENCHMARK(BM_FarFutureMigration)->Arg(6000);
+
+void BM_FarFutureReschedule(benchmark::State& state) {
+  constexpr int kEvents = 64;
+  constexpr Tick kFar = 6000;   // > EventQueue::kWheelTicks: heap-resident
+  constexpr Tick kSpan = 1 << 20;
+  EventQueue q;
+  std::vector<std::unique_ptr<Periodic>> events;
+  for (int i = 0; i < kEvents; i++) {
+    events.push_back(std::make_unique<Periodic>(&q, kFar));
+    q.Schedule(events.back().get(), kFar + static_cast<Tick>(i) * (kSpan / kEvents));
+  }
+  uint64_t n = 0;
+  for (auto _ : state) {
+    // The top 20 bits of a multiplicative hash spread the new ticks over the
+    // span, so the moved event leaves from and lands at varying heap depths.
+    const Tick when = kFar + ((n * 0x9E3779B97F4A7C15ull) >> 44);
+    q.Schedule(events[n % kEvents].get(), when);
+    n++;
+  }
+  benchmark::DoNotOptimize(q.NextTick());
+  state.SetItemsProcessed(static_cast<int64_t>(n));
+}
+BENCHMARK(BM_FarFutureReschedule);
+
+void BM_SameTickActors(benchmark::State& state) {
+  EventQueue q;
+  std::vector<std::unique_ptr<Periodic>> actors;
+  for (int64_t i = 0; i < state.range(0); i++) {
+    actors.push_back(std::make_unique<Periodic>(&q, 1));
+    q.Schedule(actors.back().get(), 1);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(q.RunOne());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(q.events_fired()));
+}
+BENCHMARK(BM_SameTickActors)->Arg(4);
 
 // Runs the whole benchmark loop inside its one Fire(), under RunAll's
 // advance ceiling, advancing the clock `period` ticks per iteration.

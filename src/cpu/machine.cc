@@ -48,15 +48,25 @@ Machine::Machine(const MachineConfig& config)
   }
 }
 
+Ptid Machine::CheckedPtid(const char* caller, CoreId core, uint32_t local_thread) const {
+  const uint32_t threads = ts_->config().threads_per_core;
+  if (core >= num_cores() || local_thread >= threads) {
+    std::fprintf(stderr, "%s: core %u thread %u is outside %u cores x %u threads\n", caller, core,
+                 local_thread, num_cores(), threads);
+    std::abort();
+  }
+  return ts_->PtidOf(core, local_thread);
+}
+
 Ptid Machine::Load(CoreId core, uint32_t local_thread, const Program& program, bool supervisor,
                    const std::string& entry, Addr edp) {
+  const Ptid ptid = CheckedPtid("Load", core, local_thread);
   program.LoadInto(mem_->phys());
   // LoadInto writes physical memory directly (no MemorySystem::Write), so the
   // code-write listeners never saw it — drop all predecoded lines.
   for (auto& c : cores_) {
     c->InvalidatePredecodeAll();
   }
-  const Ptid ptid = ts_->PtidOf(core, local_thread);
   const Addr pc = entry.empty() ? program.base : program.Symbol(entry);
   ts_->InitThread(ptid, pc, supervisor, edp);
   return ptid;
@@ -64,6 +74,7 @@ Ptid Machine::Load(CoreId core, uint32_t local_thread, const Program& program, b
 
 Ptid Machine::LoadSource(CoreId core, uint32_t local_thread, const std::string& source,
                          bool supervisor, const std::string& entry, Addr edp, Addr base) {
+  CheckedPtid("LoadSource", core, local_thread);
   const AssembleResult result = Assembler::Assemble(source, base);
   if (!result.ok) {
     std::fprintf(stderr, "assembly failed: %s\n", result.error.c_str());
@@ -74,7 +85,7 @@ Ptid Machine::LoadSource(CoreId core, uint32_t local_thread, const std::string& 
 
 Ptid Machine::BindNative(CoreId core, uint32_t local_thread, NativeProgram program,
                          bool supervisor, Addr edp) {
-  const Ptid ptid = ts_->PtidOf(core, local_thread);
+  const Ptid ptid = CheckedPtid("BindNative", core, local_thread);
   cores_[core]->BindNative(ptid, std::move(program));
   ts_->InitThread(ptid, /*pc=*/0, supervisor, edp);
   return ptid;

@@ -64,7 +64,8 @@ class Machine {
 
   // Loads an assembled program into memory and points a hardware thread at
   // `entry` (a program symbol, or the program base if empty). The thread
-  // stays disabled until Start().
+  // stays disabled until Start(). Load, LoadSource and BindNative abort
+  // unless core < num_cores and local_thread < threads_per_core.
   Ptid Load(CoreId core, uint32_t local_thread, const Program& program, bool supervisor,
             const std::string& entry = "", Addr edp = 0);
 
@@ -115,6 +116,10 @@ class Machine {
   const HaltInfo& halt_info() const { return ts_->halt_info(); }
 
  private:
+  // The ptid of (core, local_thread), checked in every build: an index past
+  // either bound would overrun the core and thread tables.
+  Ptid CheckedPtid(const char* caller, CoreId core, uint32_t local_thread) const;
+
   MachineConfig config_;
   Simulation sim_;
   std::unique_ptr<ShardEngine> engine_;  // null on legacy machines

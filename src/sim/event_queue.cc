@@ -1,6 +1,5 @@
 #include "src/sim/event_queue.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <limits>
@@ -12,23 +11,27 @@ void EventQueue::Schedule(Event* ev, Tick when) {
   if (when < now_) {
     when = now_;  // see the header comment on past-tick clamping
   }
-  if (ev->scheduled_) {
-    // Reschedule: invalidate the old entry via a new generation.
-    live_count_--;
+  const bool in_heap = ev->heap_index_ != Event::kNotInHeap;
+  if (!ev->scheduled_) {
+    ev->scheduled_ = true;
+    live_count_++;
+  } else if (!in_heap) {
+    UnlinkFromWheel(ev);
   }
-  ev->scheduled_ = true;
   ev->when_ = when;
-  ev->generation_ = ++generation_counter_;
-  const Slot slot{ev, ev->generation_};
   if (InWheelWindow(when)) {
-    AppendToWheel(when, slot);
+    if (in_heap) {
+      HeapErase(ev);
+    }
+    LinkIntoWheel(ev);
   } else {
-    heap_.push_back(FarEntry{when, next_seq_++, slot});
-    std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
+    ev->seq_ = next_seq_++;
+    if (in_heap) {
+      HeapSift(ev->heap_index_, ev);  // re-key in place
+    } else {
+      HeapPush(ev);
+    }
   }
-  entry_count_++;
-  live_count_++;
-  MaybeCompact();
 }
 
 void EventQueue::Deschedule(Event* ev) {
@@ -36,16 +39,19 @@ void EventQueue::Deschedule(Event* ev) {
   if (!ev->scheduled_) {
     return;
   }
+  if (ev->heap_index_ != Event::kNotInHeap) {
+    HeapErase(ev);
+  } else {
+    UnlinkFromWheel(ev);
+  }
   ev->scheduled_ = false;
-  ev->generation_ = ++generation_counter_;
   live_count_--;
-  MaybeCompact();
 }
 
 void EventQueue::ScheduleFn(Tick when, std::function<void()> fn) {
   FnEvent* ev = free_fn_;
   if (ev != nullptr) {
-    free_fn_ = ev->next_free_;
+    free_fn_ = static_cast<FnEvent*>(ev->next_);
   } else {
     ev = &fn_pool_.emplace_back(this);
   }
@@ -58,33 +64,55 @@ void EventQueue::FnEvent::Fire() {
   // schedules another one-shot gets a different event.
   fn_();
   fn_ = nullptr;
-  next_free_ = queue_->free_fn_;
+  next_ = queue_->free_fn_;
   queue_->free_fn_ = this;
 }
 
-void EventQueue::ClearBucket(size_t bucket) {
-  entry_count_ -= wheel_[bucket].size();
-  wheel_[bucket].clear();
-  bitmap_[bucket >> 6] &= ~(1ull << (bucket & 63));
-  if (bucket == active_bucket_) {
-    active_idx_ = 0;
-  }
-}
-
-size_t EventQueue::FindLive(size_t bucket) const {
-  const std::vector<Slot>& vec = wheel_[bucket];
-  for (size_t i = bucket == active_bucket_ ? active_idx_ : 0; i < vec.size(); i++) {
-    if (IsLive(vec[i])) {
-      return i;
+size_t EventQueue::InternalEntryCount() const {
+  size_t n = heap_.size();
+  for (const Event* head : wheel_) {
+    for (const Event* e = head; e != nullptr; e = e->next_ == head ? nullptr : e->next_) {
+      n++;
     }
   }
-  return SIZE_MAX;
+  return n;
 }
 
-size_t EventQueue::ScanWheel(size_t* idx) {
-  // Walk occupied buckets in increasing distance from now()'s bucket,
-  // wrapping once. The start word is visited twice: high bits first, then
-  // (after the wrap) its low bits.
+void EventQueue::LinkIntoWheel(Event* ev) {
+  const size_t bucket = static_cast<size_t>(ev->when_ & kWheelMask);
+  Event*& head = wheel_[bucket];
+  if (head == nullptr) {
+    head = ev;
+    ev->prev_ = ev;
+    ev->next_ = ev;
+    bitmap_[bucket >> 6] |= 1ull << (bucket & 63);
+  } else {
+    ev->prev_ = head->prev_;
+    ev->next_ = head;
+    head->prev_->next_ = ev;
+    head->prev_ = ev;
+  }
+}
+
+void EventQueue::UnlinkFromWheel(Event* ev) {
+  const size_t bucket = static_cast<size_t>(ev->when_ & kWheelMask);
+  if (ev->next_ == ev) {
+    wheel_[bucket] = nullptr;
+    bitmap_[bucket >> 6] &= ~(1ull << (bucket & 63));
+  } else {
+    ev->prev_->next_ = ev->next_;
+    ev->next_->prev_ = ev->prev_;
+    if (wheel_[bucket] == ev) {
+      wheel_[bucket] = ev->next_;
+    }
+  }
+}
+
+size_t EventQueue::WheelDistance() const {
+  // Walk the bitmap in increasing distance from now()'s bucket, wrapping
+  // once. The start word is visited twice: high bits first, then (after the
+  // wrap) its low bits. Every wheel event lies in [now, now + kWheelTicks),
+  // so the first set bit is the earliest event.
   const size_t start = static_cast<size_t>(now_ & kWheelMask);
   for (size_t i = 0; i <= kBitmapWords; i++) {
     const size_t w = ((start >> 6) + i) & (kBitmapWords - 1);
@@ -94,135 +122,100 @@ size_t EventQueue::ScanWheel(size_t* idx) {
     } else if (i == kBitmapWords) {
       word &= (1ull << (start & 63)) - 1;
     }
-    while (word != 0) {
-      // Low bit first = nearest bucket first: every bucket in this masked
-      // word view shares the same wrap status relative to `start`.
+    if (word != 0) {
       const size_t bucket = (w << 6) + static_cast<size_t>(std::countr_zero(word));
-      const size_t found = FindLive(bucket);
-      if (found != SIZE_MAX) {
-        *idx = found;
-        return (bucket - start) & kWheelMask;
-      }
-      ClearBucket(bucket);  // only dead/consumed entries left — reclaim now
-      word &= word - 1;
+      return (bucket - start) & kWheelMask;
     }
   }
-  return SIZE_MAX;
+  assert(false && "WheelDistance on an empty wheel");
+  return 0;
+}
+
+void EventQueue::HeapPush(Event* ev) {
+  assert(heap_.size() < Event::kNotInHeap);
+  heap_.push_back(ev);
+  HeapSift(heap_.size() - 1, ev);
+}
+
+void EventQueue::HeapErase(Event* ev) {
+  const size_t i = ev->heap_index_;
+  Event* last = heap_.back();
+  heap_.pop_back();
+  ev->heap_index_ = Event::kNotInHeap;
+  if (i < heap_.size()) {
+    HeapSift(i, last);
+  }
+}
+
+void EventQueue::HeapSift(size_t i, Event* ev) {
+  while (i > 0 && HeapBefore(ev, heap_[(i - 1) / 2])) {
+    const size_t parent = (i - 1) / 2;
+    heap_[i] = heap_[parent];
+    heap_[i]->heap_index_ = static_cast<uint32_t>(i);
+    i = parent;
+  }
+  // Sifting down after a move up stops at once: ev is before the old parent,
+  // which is before its other child.
+  for (size_t child = 2 * i + 1; child < heap_.size(); child = 2 * i + 1) {
+    if (child + 1 < heap_.size() && HeapBefore(heap_[child + 1], heap_[child])) {
+      child++;
+    }
+    if (!HeapBefore(heap_[child], ev)) {
+      break;
+    }
+    heap_[i] = heap_[child];
+    heap_[i]->heap_index_ = static_cast<uint32_t>(i);
+    i = child;
+  }
+  heap_[i] = ev;
+  ev->heap_index_ = static_cast<uint32_t>(i);
 }
 
 void EventQueue::DrainHeap() {
-  while (!heap_.empty()) {
-    const FarEntry& top = heap_.front();
-    const bool live = IsLive(top.slot);
-    if (live && !InWheelWindow(top.when)) {
-      break;
-    }
-    if (live) {
-      AppendToWheel(top.when, top.slot);
-    } else {
-      entry_count_--;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-    heap_.pop_back();
+  while (!heap_.empty() && InWheelWindow(heap_.front()->when_)) {
+    Event* ev = heap_.front();
+    HeapErase(ev);
+    LinkIntoWheel(ev);
   }
-}
-
-void EventQueue::PopDeadHeap() {
-  while (!heap_.empty() && !IsLive(heap_.front().slot)) {
-    std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-    heap_.pop_back();
-    entry_count_--;
-  }
-}
-
-void EventQueue::Compact() {
-  for (size_t w = 0; w < kBitmapWords; w++) {
-    uint64_t word = bitmap_[w];
-    while (word != 0) {
-      const size_t bucket = (w << 6) + static_cast<size_t>(std::countr_zero(word));
-      word &= word - 1;
-      std::vector<Slot>& vec = wheel_[bucket];
-      std::erase_if(vec, [](const Slot& e) { return !IsLive(e); });
-      if (vec.empty()) {
-        bitmap_[bucket >> 6] &= ~(1ull << (bucket & 63));
-      }
-    }
-  }
-  std::erase_if(heap_, [](const FarEntry& e) { return !IsLive(e.slot); });
-  std::make_heap(heap_.begin(), heap_.end(), HeapCmp{});
-  entry_count_ = live_count_;
-  // All consumed/dead prefix entries were erased, so the fire cursor restarts.
-  active_idx_ = 0;
 }
 
 Tick EventQueue::NextTick() const {
-  // Logically const: cleaning exhausted buckets / dead heap tops does not
-  // change the observable queue state.
-  EventQueue* self = const_cast<EventQueue*>(this);
-  size_t idx = 0;
-  const size_t d = self->ScanWheel(&idx);
-  if (d != SIZE_MAX) {
-    return now_ + d;
+  if (!WheelEmpty()) {
+    return now_ + WheelDistance();
   }
-  // Wheel is empty, so the earliest live event (if any) is the heap top,
-  // which the drain invariant keeps >= now + kWheelTicks.
-  self->PopDeadHeap();
-  if (heap_.empty()) {
-    return std::numeric_limits<Tick>::max();
-  }
-  return heap_.front().when;
+  // The drain invariant keeps every heap event >= now + kWheelTicks.
+  return heap_.empty() ? std::numeric_limits<Tick>::max() : heap_.front()->when_;
 }
 
 bool EventQueue::RunOneUntil(Tick limit) {
-  if (live_count_ == 0) {
+  // now()'s bucket holds only events due at now(), so a non-empty one needs
+  // no scan.
+  Event* ev = wheel_[static_cast<size_t>(now_ & kWheelMask)];
+  if (ev == nullptr) {
+    if (live_count_ == 0) {
+      return false;
+    }
+    const Tick when = WheelEmpty() ? heap_.front()->when_ : now_ + WheelDistance();
+    if (when > limit) {
+      return false;
+    }
+    // Heap events move into the wheel in (when, seq) order. From the heap
+    // top's tick the top lands first in its emptied bucket; otherwise every
+    // migrant lies beyond `when`, so the head of `when`'s bucket stays put.
+    now_ = when;
+    if (!heap_.empty()) {
+      DrainHeap();
+    }
+    ev = wheel_[static_cast<size_t>(now_ & kWheelMask)];
+  } else if (now_ > limit) {
     return false;
   }
-  size_t idx = 0;
-  const size_t d = ScanWheel(&idx);
-  if (d != SIZE_MAX) {
-    if (now_ + d > limit) {  // cannot wrap: the entry's tick is now_ + d
-      return false;
-    }
-    if (d != 0) {
-      now_ += d;
-      // A heap entry for the new tick cannot exist while a wheel entry for
-      // it does (it would have migrated on an earlier advance), so the drain
-      // only appends behind `idx`. The drain must not be skipped on a peek at
-      // the heap top: after an AdvanceIfIdle jump a dead top may lie behind
-      // now(), where the window test wraps; DrainHeap pops dead tops first.
-      if (!heap_.empty()) {
-        DrainHeap();
-      }
-    }
-  } else {
-    // Wheel is empty (the scan cleared every bucket), so the earliest live
-    // event is the heap top. Jump to it and migrate: the top lands first in
-    // its emptied bucket, ahead of its same-tick successors in seq order.
-    PopDeadHeap();
-    assert(!heap_.empty());
-    if (heap_.front().when > limit) {
-      return false;
-    }
-    now_ = heap_.front().when;
-    DrainHeap();
-    idx = 0;
-  }
-  // Consume the entry and advance the cursor *before* firing: the event may
-  // schedule into this bucket (reallocating it) or trigger compaction, so no
-  // reference may be held across Fire().
-  const size_t bucket = static_cast<size_t>(now_ & kWheelMask);
-  Slot& slot = wheel_[bucket][idx];
-  Event* ev = slot.ev;
-  slot.ev = nullptr;
-  active_bucket_ = bucket;
-  active_idx_ = idx + 1;
+  // Unlink before firing: the event may reschedule itself.
+  UnlinkFromWheel(ev);
+  ev->scheduled_ = false;
   live_count_--;
   fired_count_++;
-  ev->scheduled_ = false;
   ev->Fire();
-  if (active_bucket_ == bucket && active_idx_ >= wheel_[bucket].size()) {
-    ClearBucket(bucket);
-  }
   return true;
 }
 

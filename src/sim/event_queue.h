@@ -9,18 +9,21 @@
 //
 // Events scheduled for the same tick fire in FIFO order of scheduling.
 //
-// Internally a hierarchical timing wheel: events within `kWheelTicks` of
-// now() live in per-tick buckets selected by `when % kWheelTicks` (an O(1)
-// append), with a bitmap tracking occupied buckets so the next-event scan is
-// a handful of word operations instead of heap churn. A wheel entry is 16
-// bytes, {Event*, generation}: the bucket gives its tick and its position in
-// the bucket gives its FIFO order. Far-future events overflow into a small
-// binary heap whose entries also carry (when, seq), and migrate into the
-// wheel as now() advances. Cancellation and reschedule are O(1) via
-// generation counters; stale entries are skipped at fire time and compacted
-// away whenever they outnumber live ones. Firing takes one wheel scan that
-// both finds the next live entry and fires it (RunOneUntil); every run loop
-// goes through it.
+// Internally a hashed timing wheel with intrusive lists (Varghese & Lauck,
+// SOSP 1987, scheme 6). An event within `kWheelTicks` of now() is linked into
+// the circular doubly linked list of the bucket selected by
+// `when % kWheelTicks`, appended at the tail, so list order is FIFO order. A
+// bitmap has one bit per bucket, set exactly while the bucket is non-empty, so
+// the next event is the head of the first set bucket at or after now()'s.
+// Far-future events wait in an indexed binary heap ordered by (when, seq) and
+// migrate into the wheel in that order as now() advances, ahead of any later
+// direct schedule into their tick. A scheduled event sits in exactly one
+// place, and a reschedule or cancel unlinks it from there: O(1) from a bucket,
+// O(log n) from the heap. No dead entry is left behind to skip or compact.
+//
+// An owner keeps an Event alive while it is scheduled, and only then: once it
+// has fired or been descheduled the queue holds no pointer to it, and it may
+// be destroyed.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -38,8 +41,9 @@ namespace casc {
 
 class EventQueue;
 
-// A reusable event. The owner keeps the object alive while it is scheduled.
-// An Event can be scheduled on at most one queue at a time.
+// A reusable event. The owner keeps the object alive while it is scheduled
+// and may free it once it has fired or been descheduled. An Event can be
+// scheduled on at most one queue at a time.
 class Event {
  public:
   Event() = default;
@@ -54,10 +58,16 @@ class Event {
 
  private:
   friend class EventQueue;
+  static constexpr uint32_t kNotInHeap = std::numeric_limits<uint32_t>::max();
   Tick when_ = 0;
-  // Bumped on every (de)schedule; a queue entry is live only while its
-  // recorded generation matches.
-  uint64_t generation_ = 0;
+  // Links in the circular list of the event's wheel bucket, while it is in
+  // the wheel. A free one-shot chains the queue's free list through next_.
+  Event* prev_ = nullptr;
+  Event* next_ = nullptr;
+  // While the event waits in the far-future heap: its heap position, and its
+  // FIFO tie-break against other heap events for the same tick.
+  uint64_t seq_ = 0;
+  uint32_t heap_index_ = kNotInHeap;
   bool scheduled_ = false;
 };
 
@@ -91,8 +101,7 @@ class EventQueue {
   // instead of scheduling an event and paying a full dispatch round trip.
   // Refused — caller must schedule normally — if any live event exists, if
   // `t` is behind now(), or if `t` lies beyond the innermost RunUntil/RunAll
-  // limit (so RunFor(x) still returns control at exactly x). Dead wheel/heap
-  // entries are reclaimed lazily by the normal scan paths.
+  // limit (so RunFor(x) still returns control at exactly x).
   bool AdvanceIfIdle(Tick t) {
     if (live_count_ != 0 || t < now_ || t > advance_limit_) {
       return false;
@@ -131,9 +140,10 @@ class EventQueue {
   // host-throughput bench to derive events/sec.
   uint64_t events_fired() const { return fired_count_; }
 
-  // Internal storage footprint including dead (rescheduled/cancelled)
-  // entries. Exposed so tests can assert dead-entry growth stays bounded.
-  size_t InternalEntryCount() const { return entry_count_; }
+  // Entries the queue actually holds: events linked into wheel buckets, found
+  // by walking every list, plus heap entries. Counted apart from LiveCount()
+  // so tests can assert that no reschedule or cancel leaves an entry behind.
+  size_t InternalEntryCount() const;
 
   // Events allocated for one-shot callbacks, pending or free. Bounded by
   // the largest number of one-shots ever pending at once, plus one per
@@ -145,8 +155,7 @@ class EventQueue {
 
   // Fires the earliest event if its tick is <= limit and returns true;
   // otherwise (including when the queue is empty) fires nothing, leaves
-  // now() alone and returns false. One wheel scan both finds and fires the
-  // event. Does not raise the AdvanceIfIdle ceiling.
+  // now() alone and returns false. Does not raise the AdvanceIfIdle ceiling.
   bool RunOneUntil(Tick limit);
 
   // Fires the earliest event. Returns false if the queue is empty.
@@ -179,29 +188,9 @@ class EventQueue {
   static constexpr uint64_t kWheelMask = kWheelTicks - 1;
   static constexpr size_t kBitmapWords = kWheelTicks / 64;
 
-  // A wheel entry. Live while `ev` is non-null, scheduled, and its
-  // generation_ still equals `generation`; firing nulls `ev`, and every
-  // (de)schedule of the event moves its generation on.
-  struct Slot {
-    Event* ev;
-    uint64_t generation;
-  };
-  static_assert(sizeof(Slot) == 16);
-  // A far-future entry: (when, seq) orders the heap, and migration into the
-  // wheel in that order preserves FIFO within a tick.
-  struct FarEntry {
-    Tick when;
-    uint64_t seq;
-    Slot slot;
-  };
-  struct HeapCmp {
-    bool operator()(const FarEntry& a, const FarEntry& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-  };
   // The queue-owned Event behind each ScheduleFn callback. After the
   // callback returns, its captures are released and the event goes back on
-  // the free list.
+  // the free list, chained through Event::next_.
   class FnEvent final : public Event {
    public:
     explicit FnEvent(EventQueue* q) : queue_(q) {}
@@ -211,57 +200,40 @@ class EventQueue {
     friend class EventQueue;
     EventQueue* queue_;
     std::function<void()> fn_;
-    FnEvent* next_free_ = nullptr;
   };
-
-  static bool IsLive(const Slot& s) {
-    return s.ev != nullptr && s.ev->scheduled_ && s.ev->generation_ == s.generation;
-  }
 
   bool InWheelWindow(Tick when) const { return when - now_ < kWheelTicks; }
   Tick SaturatingFromNow(Tick delta) const {
     return delta > std::numeric_limits<Tick>::max() - now_ ? std::numeric_limits<Tick>::max()
                                                            : now_ + delta;
   }
-  void AppendToWheel(Tick when, Slot slot) {
-    const size_t bucket = static_cast<size_t>(when & kWheelMask);
-    wheel_[bucket].push_back(slot);
-    bitmap_[bucket >> 6] |= 1ull << (bucket & 63);
+  // Every scheduled event is either in a wheel bucket or in the heap.
+  bool WheelEmpty() const { return live_count_ == heap_.size(); }
+  // Distance in ticks from now() to the first non-empty bucket. The wheel
+  // must not be empty.
+  size_t WheelDistance() const;
+  // Appends `ev` at the tail of its tick's bucket (the head's prev_).
+  void LinkIntoWheel(Event* ev);
+  void UnlinkFromWheel(Event* ev);
+  // Indexed binary heap on (when, seq); every entry records its position.
+  static bool HeapBefore(const Event* a, const Event* b) {
+    return a->when_ != b->when_ ? a->when_ < b->when_ : a->seq_ < b->seq_;
   }
-  void ClearBucket(size_t bucket);
-  // Scans the bucket for a live entry, starting at the fire cursor when the
-  // bucket is the active one. Returns the entry index or SIZE_MAX.
-  size_t FindLive(size_t bucket) const;
-  // Distance in ticks from now() to the earliest occupied wheel bucket with a
-  // live entry (cleaning exhausted buckets along the way), or SIZE_MAX.
-  // When found, also reports the entry's index in its bucket.
-  size_t ScanWheel(size_t* idx);
-  // Migrates heap entries that entered the wheel window into their buckets.
-  // Must run after every advance of now_ so overflow entries land in bucket
-  // order before any same-tick direct schedule (preserves FIFO by seq).
+  void HeapPush(Event* ev);
+  void HeapErase(Event* ev);
+  // Puts `ev` into the vacant position `i`, sifting it up or down into place.
+  void HeapSift(size_t i, Event* ev);
+  // Migrates heap events that entered the wheel window into their buckets.
+  // Must run after every advance of now_ so they land in (when, seq) order
+  // before any direct schedule into their tick (preserves FIFO).
   void DrainHeap();
-  void PopDeadHeap();
-  // Compacts when stale entries outnumber live ones (>50% dead) and there is
-  // enough bulk for the O(n) sweep to pay off.
-  void MaybeCompact() {
-    if (entry_count_ >= 64 && entry_count_ - live_count_ > live_count_) {
-      Compact();
-    }
-  }
-  void Compact();
 
-  std::array<std::vector<Slot>, kWheelTicks> wheel_;
-  std::array<uint64_t, kBitmapWords> bitmap_{};
-  std::vector<FarEntry> heap_;  // far-future overflow (when - now >= kWheelTicks)
-  // Fire cursor: entries [0, active_idx_) of bucket active_bucket_ are
-  // consumed or dead. Advanced before Fire() so reentrant schedules are safe.
-  size_t active_bucket_ = 0;
-  size_t active_idx_ = 0;
+  std::array<Event*, kWheelTicks> wheel_{};  // bucket list heads
+  std::array<uint64_t, kBitmapWords> bitmap_{};  // bit set iff its bucket is non-empty
+  std::vector<Event*> heap_;  // far-future overflow (when - now >= kWheelTicks)
   Tick now_ = 0;
   uint64_t next_seq_ = 0;       // heap entries only
-  uint64_t generation_counter_ = 0;
   size_t live_count_ = 0;
-  size_t entry_count_ = 0;      // live + not-yet-reclaimed dead, wheel + heap
   uint64_t fired_count_ = 0;
   Tick advance_limit_ = 0;      // AdvanceIfIdle ceiling; raised inside RunUntil/RunAll
   std::deque<FnEvent> fn_pool_;  // stable addresses; grows, never shrinks

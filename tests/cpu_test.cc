@@ -480,6 +480,28 @@ TEST(CpuTest, BindNativeRejectsPtidOfAnotherCore) {
                "not on core 0");
 }
 
+// Out-of-range (core, local_thread) pairs used to index past the thread and
+// core tables; every build now aborts on them.
+TEST(CpuTest, LoadRejectsOutOfRangeThreadOrCore) {
+  Machine m;  // one core
+  const uint32_t threads = m.threads().config().threads_per_core;
+  const Program program = Assembler::Assemble("halt\n", 0x1000).program;
+  EXPECT_DEATH(m.Load(0, threads, program, true), "Load: core 0 thread .* is outside");
+  EXPECT_DEATH(m.Load(1, 0, program, true), "Load: core 1 thread 0 is outside 1 cores");
+  EXPECT_DEATH(m.LoadSource(0, threads, "halt\n", true), "LoadSource: core 0 thread");
+  EXPECT_DEATH(m.LoadSource(1, 0, "halt\n", true), "LoadSource: core 1 thread 0");
+}
+
+TEST(CpuTest, BindNativeRejectsOutOfRangeThreadOrCore) {
+  MachineConfig cfg;
+  cfg.num_cores = 2;
+  Machine m(cfg);
+  const uint32_t threads = m.threads().config().threads_per_core;
+  auto body = [](GuestContext&) -> GuestTask { co_return; };
+  EXPECT_DEATH(m.BindNative(1, threads, body, true), "BindNative: core 1 thread .* is outside");
+  EXPECT_DEATH(m.BindNative(2, 0, body, true), "BindNative: core 2 thread 0 is outside 2 cores");
+}
+
 // A native thread stopped by another thread mid-Compute keeps its instance:
 // on restart it finishes the remaining cycles, and its program body is not
 // re-run.

@@ -89,6 +89,29 @@ TEST(EventQueueTest, NextTickSkipsCancelled) {
   EXPECT_EQ(q.LiveCount(), 1u);
 }
 
+TEST(EventQueueTest, DescheduledEventMayBeFreedBeforeItsTick) {
+  // The owner keeps an Event alive only while it is scheduled: once
+  // descheduled it may be destroyed before the tick it was due at, whether it
+  // sat in a wheel bucket or in the far-future heap. Each shares its tick with
+  // a one-shot, so the queue still runs that bucket and pops that heap tick.
+  constexpr Tick kFar = 3 * EventQueue::kWheelTicks;
+  EventQueue q;
+  std::vector<Tick> fired;
+  auto near = std::make_unique<LambdaEvent<std::function<void()>>>([] { FAIL(); });
+  auto far = std::make_unique<LambdaEvent<std::function<void()>>>([] { FAIL(); });
+  q.Schedule(near.get(), 5);
+  q.ScheduleFn(5, [&] { fired.push_back(q.now()); });
+  q.Schedule(far.get(), kFar);
+  q.ScheduleFn(kFar, [&] { fired.push_back(q.now()); });
+  q.Deschedule(near.get());
+  q.Deschedule(far.get());
+  near.reset();
+  far.reset();
+  EXPECT_EQ(q.RunAll(), 2u);
+  EXPECT_EQ(fired, (std::vector<Tick>{5, kFar}));
+  EXPECT_TRUE(q.Empty());
+}
+
 TEST(EventQueueTest, RunUntilAdvancesNowWithoutEvents) {
   EventQueue q;
   q.RunUntil(100);
@@ -124,7 +147,7 @@ TEST(EventQueueTest, RescheduleWhilePendingMovesBothDirections) {
   EventQueue q;
   std::vector<Tick> fired_at;
   LambdaEvent ev([&] { fired_at.push_back(q.now()); });
-  // Near -> far: the wheel entry goes stale, the heap entry is live.
+  // Near -> far: the event leaves its wheel bucket for the heap.
   q.Schedule(&ev, 10);
   q.Schedule(&ev, EventQueue::kWheelTicks + 500);
   q.RunUntil(100);
@@ -132,8 +155,8 @@ TEST(EventQueueTest, RescheduleWhilePendingMovesBothDirections) {
   q.RunAll();
   ASSERT_EQ(fired_at.size(), 1u);
   EXPECT_EQ(fired_at[0], EventQueue::kWheelTicks + 500);
-  // Far -> near: the heap entry goes stale, the wheel entry is live. The
-  // stale far entry must neither fire nor drag now() forward.
+  // Far -> near: the event leaves the heap for the wheel. Its old far tick
+  // must neither fire nor drag now() forward.
   const Tick base = q.now();
   q.Schedule(&ev, base + EventQueue::kWheelTicks + 500);
   q.Schedule(&ev, base + 3);
@@ -188,13 +211,15 @@ TEST(EventQueueTest, RunUntilCrossesEmptyWheelSpans) {
 }
 
 TEST(EventQueueTest, RepeatedRescheduleKeepsStorageBounded) {
-  // Regression: every reschedule/cancel leaves a dead entry behind, and these
-  // used to accumulate until a full drain. Compaction must keep internal
-  // storage proportional to the live population.
+  // Regression: reschedules and cancels used to leave dead entries behind,
+  // which accumulated until a full drain. A reschedule or cancel must take
+  // the event out of the wheel or the heap, so storage holds exactly the
+  // live population.
   EventQueue q;
   LambdaEvent ev([] {});
   for (Tick t = 1; t <= 10000; t++) {
     q.Schedule(&ev, t);  // spans both the wheel and the heap overflow
+    ASSERT_EQ(q.InternalEntryCount(), q.LiveCount()) << "t=" << t;
   }
   EXPECT_EQ(q.LiveCount(), 1u);
   EXPECT_LT(q.InternalEntryCount(), 256u);
@@ -210,6 +235,7 @@ TEST(EventQueueTest, RepeatedRescheduleKeepsStorageBounded) {
   }
   EXPECT_EQ(q.LiveCount(), 0u);
   EXPECT_LT(q.InternalEntryCount(), 256u);
+  EXPECT_EQ(q.InternalEntryCount(), q.LiveCount());
 }
 
 // Delay before the ticker's next self-reschedule, given the fires it has
@@ -233,8 +259,10 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   // and one-shots that schedule their successor from inside their callback
   // (one-shot pool reuse); the model replays those follow-ups as it fires.
   // Advancer one-shots take the core-park shape inside a run: cancel every
-  // reusable event, then AdvanceIfIdle, jumping the clock past the dead
-  // wheel/heap entries the cancels leave behind.
+  // reusable event, then AdvanceIfIdle, jumping the clock past the ticks the
+  // cancelled events were due at. Heap-tie ops deschedule or reschedule a
+  // far-future event queued behind a same-tick peer, so it is never the heap
+  // top. After every step the queue holds exactly its live events.
   EventQueue q;
   Rng rng(2026);
   std::vector<int> got;
@@ -356,7 +384,7 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   constexpr Tick kMax = std::numeric_limits<Tick>::max();
 
   for (int step = 0; step < 6000; step++) {
-    const uint64_t op = rng.NextBounded(100);
+    const uint64_t op = rng.NextBounded(106);
     if (op < 30) {
       const Tick when = model_now + rng.NextBounded(3 * EventQueue::kWheelTicks);
       const int id = next_id++;
@@ -413,10 +441,9 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
     } else if (op < 92) {
       // Idle jump: an advancer queued behind every pending one-shot fires
       // inside RunUntil or RunWhile. Some reusable events are first moved
-      // past it, so its cancels leave dead entries in the wheel and the heap
-      // for the jump to cross. Half the time the run's limit equals the
-      // target, so the run ends with the clock where the jump left it and
-      // later ops meet the dead entries it jumped over.
+      // past it, so its cancels empty wheel and heap ticks that the jump
+      // crosses. Half the time the run's limit equals the target, so the run
+      // ends with the clock where the jump left it.
       const Tick when =
           model_now + 3 * EventQueue::kWheelTicks + rng.NextBounded(EventQueue::kWheelTicks);
       for (int i = 0; i < kPool; i++) {
@@ -453,6 +480,32 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
         q.RunUntil(limit);
       }
       EXPECT_EQ(q.now(), model_now);
+    } else if (op >= 100) {
+      // Heap ties: a one-shot, pool event i and another one-shot wait in the
+      // far-future heap at one tick, so i sits behind a peer and is not the
+      // heap top. Then i is descheduled or moved to a nearby far tick (maybe
+      // the same one, now behind its second peer).
+      const Tick far = model_now + EventQueue::kWheelTicks +
+                       rng.NextBounded(2 * EventQueue::kWheelTicks);
+      const int i = static_cast<int>(rng.NextBounded(kPool));
+      auto tie = [&] {
+        const int id = next_id++;
+        ref.push_back({far, next_seq++, id, Kind::kPlain, 0});
+        q.ScheduleFn(far, [&got, id] { got.push_back(id); });
+      };
+      tie();
+      ref_erase_slot(i);
+      ref.push_back({far, next_seq++, 1000000 + i, Kind::kPlain, 0});
+      q.Schedule(pool[i].get(), far);
+      tie();
+      ref_erase_slot(i);
+      if (rng.NextBounded(2) == 0) {
+        q.Deschedule(pool[i].get());
+      } else {
+        const Tick later = far + rng.NextBounded(3);
+        ref.push_back({later, next_seq++, 1000000 + i, Kind::kPlain, 0});
+        q.Schedule(pool[i].get(), later);
+      }
     } else {
       const Tick limit = model_now + rng.NextBounded(2 * EventQueue::kWheelTicks);
       model_advance_limit = limit;
@@ -464,6 +517,8 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
       EXPECT_EQ(q.now(), model_now);
     }
     ASSERT_EQ(got, want) << "diverged at step " << step;
+    ASSERT_EQ(q.LiveCount(), ref.size()) << "step " << step;
+    ASSERT_EQ(q.InternalEntryCount(), q.LiveCount()) << "step " << step;
   }
   q.RunAll();
   while (model_fire_until(kMax)) {
@@ -473,9 +528,9 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   EXPECT_GT(advances, 20);  // the idle-jump path was exercised, not just refused
 }
 
-TEST(EventQueueTest, FarEventMigratesAfterIdleJumpOverDeadHeapEntry) {
-  // A dead heap entry at 5000 is still in the heap when AdvanceIfIdle jumps
-  // the clock to 6000. A far event scheduled after the jump must still
+TEST(EventQueueTest, FarEventMigratesAfterIdleJumpPastDescheduledHeapEvent) {
+  // A heap event at 5000 is descheduled before AdvanceIfIdle jumps the clock
+  // to 6000. A far event scheduled after the jump must still
   // migrate into the wheel on time while 1-tick hops keep the wheel busy:
   // it fires at 11000, ahead of the hop queued for that tick, and the clock
   // never runs backwards.
@@ -522,6 +577,7 @@ TEST(EventQueueTest, OneShotChainKeepsPoolAndStorageBounded) {
   size_t max_entries = 0;
   while (q.RunOne()) {
     max_entries = std::max(max_entries, q.InternalEntryCount());
+    ASSERT_EQ(q.InternalEntryCount(), q.LiveCount());
   }
   EXPECT_EQ(fired, 10000);
   EXPECT_EQ(q.events_fired(), 10000u);
