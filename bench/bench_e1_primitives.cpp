@@ -171,12 +171,13 @@ int main(int argc, char** argv) {
       "E1 — primitive costs. Paper: hardware-thread start ~20 cyc (RF), 10-50 cyc\n"
       "(L2/L3, 3-16 ns @3GHz); software context switch = hundreds of cycles; the\n"
       "sim_cycles / sim_ns counters below carry the simulated costs.\n\n");
-  // --json/--smoke are ours; everything else goes to google-benchmark.
+  // --json/--smoke/--host-threads are ours; everything else goes to
+  // google-benchmark.
   std::vector<char*> bm_argv = {argv[0]};
   std::vector<const char*> our_argv = {argv[0]};
   for (int i = 1; i < argc; i++) {
     const std::string a = argv[i];
-    if (a == "--smoke" || a.rfind("--json", 0) == 0) {
+    if (a == "--smoke" || a.rfind("--json", 0) == 0 || a.rfind("--host-threads", 0) == 0) {
       our_argv.push_back(argv[i]);
     } else {
       bm_argv.push_back(argv[i]);

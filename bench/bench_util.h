@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <type_traits>
 #include <initializer_list>
@@ -101,10 +102,10 @@ inline double ToNs(Tick cycles, double ghz = 3.0) { return static_cast<double>(c
 //   --json=<path>     write the collected results as JSON on Finish()
 //   --smoke           run a reduced-iteration configuration (see Iters) so the
 //                     bench-smoke ctest tier finishes in seconds
-//   --host-threads=N  run every Machine the bench builds on N host threads
-//                     (sharded engine, DESIGN.md §4i); 0 = the legacy
-//                     single-threaded engine (default). Simulated metrics
-//                     must not change with this flag — only host_ms may.
+//   --host-threads=N  the engine every Machine the bench builds runs on
+//                     (DESIGN.md §4i): 0 = legacy single-queue engine
+//                     (default), 1 = sharded engine; any other value exits
+//                     with status 2.
 //
 // Schema (validated by tools/casc_bench_check):
 //   {"bench": "<name>", "smoke": <bool>,
@@ -122,13 +123,15 @@ class BenchReport {
     }
     smoke_ = cfg.GetBool("smoke", false);
     json_path_ = cfg.GetString("json");
-    host_threads_ = static_cast<uint32_t>(cfg.GetUint("host-threads", 0));
-    SetDefaultHostThreads(host_threads_);
+    const uint64_t host_threads = cfg.GetUint("host-threads", 0);
+    if (!HostThreadsFlagOk(host_threads)) {
+      std::exit(2);
+    }
+    SetDefaultHostThreads(static_cast<uint32_t>(host_threads));
   }
 
   bool parse_ok() const { return parse_ok_; }
   bool smoke() const { return smoke_; }
-  uint32_t host_threads() const { return host_threads_; }
 
   // Pick an iteration count / problem size: `full` normally, `reduced` under
   // --smoke. Keeps the scaling decision next to the constant it replaces.
@@ -183,7 +186,6 @@ class BenchReport {
   std::string bench_;
   bool parse_ok_ = true;
   bool smoke_ = false;
-  uint32_t host_threads_ = 0;
   std::string json_path_;
   std::vector<Result> results_;
 };

@@ -103,7 +103,6 @@ void ChaosEngine::SetRecovered(FaultRecord& r, Tick now) {
 }
 
 void ChaosEngine::NoteDetected(FaultClass cls, Tick now) {
-  std::lock_guard<std::mutex> lock(mu_);
   FaultRecord* r = FirstUndetected(cls);
   if (r != nullptr) {
     SetDetected(*r, now);
@@ -111,7 +110,6 @@ void ChaosEngine::NoteDetected(FaultClass cls, Tick now) {
 }
 
 void ChaosEngine::NoteRecovered(FaultClass cls, Tick now) {
-  std::lock_guard<std::mutex> lock(mu_);
   // Only records already past detection recover; an undetected loss being
   // "recovered" would invert the latency the engine is measuring.
   for (FaultRecord& r : records_) {
@@ -126,7 +124,6 @@ void ChaosEngine::FinishRun() {
   if (!machine_.halted()) {
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   for (FaultRecord& r : records_) {
     if (r.recovered_at == 0) {
       r.halted = true;
@@ -189,7 +186,6 @@ void ChaosEngine::InstallNicHooks() {
   // consumer sees a frame slot whose payload never arrived.
   machine_.mem().AddUnwritableRange(kDmaHoleBase, kDmaHoleSize);
   nic_->SetRxBufHook([this](uint32_t, Addr buf) -> Addr {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     for (Campaign& c : campaigns_) {
       if (c.config.fault == FaultClass::kNicDmaBadAddr && ShouldFire(c, now)) {
@@ -203,7 +199,6 @@ void ChaosEngine::InstallNicHooks() {
 
 void ChaosEngine::InstallBlockHooks() {
   block_->SetCompletionFaultHook([this](const BlockCommand&, uint64_t) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     for (Campaign& c : campaigns_) {
       if (c.config.fault == FaultClass::kBlockTimeout && ShouldFire(c, now)) {
@@ -216,7 +211,6 @@ void ChaosEngine::InstallBlockHooks() {
   // A doorbell ring while a swallowed completion is outstanding is the
   // driver's deadline expiring and resubmitting: detection.
   block_->SetDoorbellObserver([this](uint64_t) {
-    std::lock_guard<std::mutex> lock(mu_);
     FaultRecord* r = FirstUndetected(FaultClass::kBlockTimeout);
     if (r != nullptr) {
       SetDetected(*r, machine_.sim().now());
@@ -230,7 +224,6 @@ void ChaosEngine::InstallBlockHooks() {
 
 void ChaosEngine::InstallMsixHooks() {
   msix_->SetDropHook([this](uint32_t) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     for (Campaign& c : campaigns_) {
       if (c.config.fault == FaultClass::kMsixDoorbellDrop && ShouldFire(c, now)) {
@@ -245,7 +238,6 @@ void ChaosEngine::InstallMsixHooks() {
   // value. Detection is normally noted earlier by the consumer's watchdog
   // (NoteDetected); if it never was, charge both here.
   msix_->SetDeliveryObserver([this](uint32_t, uint64_t) {
-    std::lock_guard<std::mutex> lock(mu_);
     FaultRecord* r = FirstUnrecovered(FaultClass::kMsixDoorbellDrop);
     if (r != nullptr) {
       SetRecovered(*r, machine_.sim().now());
@@ -260,7 +252,6 @@ void ChaosEngine::InstallFabricHooks() {
   // budget and recovery is keyed on route order, which is deterministic per
   // transmitting shard.
   fabric_->SetLinkFaultHook([this](uint64_t, uint64_t) -> int64_t {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     for (Campaign& c : campaigns_) {
       if (c.config.fault != FaultClass::kFabricLinkFault || !ShouldFire(c, now)) {
@@ -282,7 +273,6 @@ void ChaosEngine::InstallFabricHooks() {
   // recovery charges both). Same-tick self-matches are skipped so a delayed
   // frame does not "recover" the very fault that delayed it.
   fabric_->SetDeliveryObserver([this](uint64_t, uint64_t) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     for (FaultRecord& r : records_) {
       if (r.cls == FaultClass::kFabricLinkFault && r.recovered_at == 0 &&
@@ -298,7 +288,6 @@ void ChaosEngine::InstallThreadHooks() {
   ThreadSystem& ts = machine_.threads();
   // --- migration-crash: kill the migration engine mid-rpull/rpush ---------
   ts.SetMigrationFaultHook([this](Ptid issuer, Ptid, bool) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     for (Campaign& c : campaigns_) {
       if (c.config.fault == FaultClass::kMigrationCrash && TargetsMatch(c, issuer) &&
@@ -313,51 +302,37 @@ void ChaosEngine::InstallThreadHooks() {
   });
   // --- remote-start-race: revoke a cross-core start shortly after issue ---
   ts.SetRemoteStartObserver([this](Ptid, Ptid target) {
-    Tick delay = 0;
-    bool fire = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const Tick now = machine_.sim().now();
-      for (Campaign& c : campaigns_) {
-        if (c.config.fault != FaultClass::kRemoteStartRace || !TargetsMatch(c, target)) {
-          continue;
-        }
-        if (!ShouldFire(c, now)) {
-          continue;
-        }
-        Inject(FaultClass::kRemoteStartRace, target, now);
-        delay = c.config.collision_delay;
-        fire = true;
-        break;
+    const Tick now = machine_.sim().now();
+    for (Campaign& c : campaigns_) {
+      if (c.config.fault != FaultClass::kRemoteStartRace || !TargetsMatch(c, target)) {
+        continue;
       }
-    }
-    if (!fire) {
-      return;
-    }
-    machine_.sim().queue().ScheduleFnAfter(delay, [this, target] {
-      ThreadSystem& sys = machine_.threads();
-      if (sys.halted()) {
-        return;
+      if (!ShouldFire(c, now)) {
+        continue;
       }
-      {
+      Inject(FaultClass::kRemoteStartRace, target, now);
+      machine_.sim().queue().ScheduleFnAfter(c.config.collision_delay, [this, target] {
+        ThreadSystem& sys = machine_.threads();
+        if (sys.halted()) {
+          return;
+        }
         // The collision lands now: that is the architecturally visible
         // detection point (the worker everyone believes is running is gone).
-        std::lock_guard<std::mutex> lock(mu_);
-        const Tick now = machine_.sim().now();
+        const Tick at = machine_.sim().now();
         for (FaultRecord& r : records_) {
           if (r.cls == FaultClass::kRemoteStartRace && r.ptid == target &&
               r.detected_at == 0) {
-            SetDetected(r, now);
+            SetDetected(r, at);
             break;
           }
         }
-      }
-      sys.HostStop(target);
-    });
+        sys.HostStop(target);
+      });
+      return;
+    }
   });
   // --- context poison: corrupt a context image mid-restore ----------------
   ts.SetRestoreFaultHook([this](Ptid ptid) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     for (Campaign& c : campaigns_) {
       if (c.config.fault == FaultClass::kContextPoison && TargetsMatch(c, ptid) &&
@@ -369,7 +344,6 @@ void ChaosEngine::InstallThreadHooks() {
     return false;
   });
   ts.AddExceptionObserver([this](Ptid ptid, ExceptionType type, Addr, uint32_t depth) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     // Poison detected: the hardware raised kContextPoison on the victim.
     if (type == ExceptionType::kContextPoison) {
@@ -422,19 +396,11 @@ void ChaosEngine::InstallThreadHooks() {
     }
   });
   ts.AddDeliveryObserver([this](const ExceptionDescriptor& d, Addr, uint32_t depth) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     // An escalated descriptor landing means a live handler now knows about
-    // the sunk fault: the chain absorbed it. (Inlined NoteRecovered — we
-    // already hold the engine lock.)
+    // the sunk fault: the chain absorbed it.
     if (depth > 0) {
-      for (FaultRecord& r : records_) {
-        if (r.cls == FaultClass::kEdpUnwritable && r.detected_at != 0 &&
-            r.recovered_at == 0) {
-          SetRecovered(r, now);
-          break;
-        }
-      }
+      NoteRecovered(FaultClass::kEdpUnwritable, now);
     }
     // A crashed handler's own descriptor landing at its parent = detection.
     for (FaultRecord& r : records_) {
@@ -445,7 +411,6 @@ void ChaosEngine::InstallThreadHooks() {
     }
   });
   ts.AddWakeObserver([this](Ptid ptid, TraceCause cause) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Tick now = machine_.sim().now();
     // Recovery for thread-victim classes: the victim is runnable again.
     for (FaultRecord& r : records_) {
@@ -473,12 +438,7 @@ void ChaosEngine::InstallThreadHooks() {
         if (sys.halted() || sys.thread(ptid).state() == ThreadState::kDisabled) {
           return;
         }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          Inject(FaultClass::kHandlerCrash, ptid, machine_.sim().now());
-        }
-        // Raised outside the lock: the raise re-enters our own exception
-        // observer, which takes the lock afresh.
+        Inject(FaultClass::kHandlerCrash, ptid, machine_.sim().now());
         sys.RaiseException(ptid, ExceptionType::kIllegalInstruction, 0, /*errcode=*/0xc4a05);
       });
     }

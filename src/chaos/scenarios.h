@@ -66,9 +66,9 @@ struct ScenarioOutcome {
 const std::vector<FaultClass>& AllScenarioClasses();
 // The cross-core subset (two-core machines; see IsCrossCoreFault): their
 // aggregate outcome is deterministic per engine, but cross-core timing
-// differs between host_threads=0 (direct paths) and host_threads>=1
-// (mailbox hops), so byte-identity across engines only holds within each
-// sharding regime.
+// differs between host_threads=0 (legacy: direct paths) and host_threads=1
+// (sharded: mailbox hops), so byte-identity holds within each engine, not
+// across them.
 const std::vector<FaultClass>& CrossCoreScenarioClasses();
 // The single-core subset: byte-identical across every engine.
 const std::vector<FaultClass>& SingleCoreScenarioClasses();

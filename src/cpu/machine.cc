@@ -14,21 +14,34 @@ uint32_t g_default_host_threads = 0;
 void SetDefaultHostThreads(uint32_t n) { g_default_host_threads = n; }
 uint32_t GetDefaultHostThreads() { return g_default_host_threads; }
 
+bool HostThreadsFlagOk(uint64_t n) {
+  if (n <= 1) {
+    return true;
+  }
+  std::fprintf(stderr, "--host-threads must be 0 (legacy engine) or 1 (sharded engine)\n");
+  return false;
+}
+
 Machine::Machine(const MachineConfig& config)
     : config_(config), sim_(config.ghz, config.seed) {
   uint32_t host_threads = config_.host_threads == MachineConfig::kHostThreadsDefault
                               ? GetDefaultHostThreads()
                               : config_.host_threads;
+  if (host_threads > 1) {
+    std::fprintf(stderr,
+                 "Machine: host_threads %u does not exist (0 = legacy engine, 1 = sharded "
+                 "engine)\n",
+                 host_threads);
+    std::abort();
+  }
   if (config_.num_cores > shard::kMaxShards) {
     host_threads = 0;  // beyond the shard table: fall back to the legacy engine
   }
-  if (host_threads >= 1) {
-    // Sharding must be enabled before anything interns a stat, schedules an
-    // event, or captures a queue pointer.
-    sim_.stats().EnableSharding(config_.num_cores);
+  if (host_threads == 1) {
+    // Sharding must be enabled before anything schedules an event or
+    // captures a queue pointer.
     sim_.EnableSharding(config_.num_cores);
-    engine_ = std::make_unique<ShardEngine>(sim_, config_.num_cores, host_threads,
-                                            config_.cross_shard_hop);
+    engine_ = std::make_unique<ShardEngine>(sim_, config_.num_cores, config_.cross_shard_hop);
     sim_.set_router(engine_.get());
   }
   mem_ = std::make_unique<MemorySystem>(sim_, config_.mem, config_.num_cores);

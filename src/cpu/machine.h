@@ -21,13 +21,12 @@ struct MachineConfig {
   double ghz = 3.0;
   uint64_t seed = 1;
   uint32_t num_cores = 1;
-  // Host-parallel execution (DESIGN.md §4i). 0 = legacy single-queue engine
-  // (the default); n >= 1 = one shard per core, driven by up to n host
-  // threads between conservative sync barriers (n = 1 keeps the rounds
-  // serial and is bit-identical to any other n by construction);
-  // kHostThreadsDefault = adopt the process-wide default installed by
-  // SetDefaultHostThreads (how the tools' --host-threads flag reaches every
-  // machine a tool builds).
+  // Event engine (DESIGN.md §4i). 0 = legacy single-queue engine (the
+  // default); 1 = sharded engine, one shard per core run in serial
+  // conservative sync windows; kHostThreadsDefault = adopt the process-wide
+  // default installed by SetDefaultHostThreads (how the tools'
+  // --host-threads flag reaches every machine a tool builds). Any other
+  // value aborts the constructor.
   static constexpr uint32_t kHostThreadsDefault = UINT32_MAX;
   uint32_t host_threads = kHostThreadsDefault;
   // Conservative sync window width: a lower bound on the latency of every
@@ -46,6 +45,11 @@ struct MachineConfig {
 void SetDefaultHostThreads(uint32_t n);
 uint32_t GetDefaultHostThreads();
 
+// Checks a --host-threads value from the command line: true for 0 (legacy
+// engine) and 1 (sharded engine). Anything else prints a usage message to
+// stderr and returns false; the tools then exit 2.
+bool HostThreadsFlagOk(uint64_t n);
+
 class Machine {
  public:
   explicit Machine(const MachineConfig& config = MachineConfig{});
@@ -57,7 +61,7 @@ class Machine {
   Core& core(CoreId id) { return *cores_[id]; }
   uint32_t num_cores() const { return static_cast<uint32_t>(cores_.size()); }
 
-  // True when this machine executes on the sharded engine (host_threads >= 1
+  // True when this machine executes on the sharded engine (host_threads == 1
   // resolved at construction). The engine accessor is for tests.
   bool sharded() const { return engine_ != nullptr; }
   ShardEngine* engine() { return engine_.get(); }

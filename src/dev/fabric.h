@@ -5,7 +5,6 @@
 #ifndef SRC_DEV_FABRIC_H_
 #define SRC_DEV_FABRIC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -61,9 +60,9 @@ class Fabric {
     Route(src_node, frame);
   }
 
-  uint64_t frames_routed() const { return frames_routed_.load(std::memory_order_relaxed); }
-  uint64_t frames_dropped() const { return frames_dropped_.load(std::memory_order_relaxed); }
-  uint64_t frames_lost() const { return frames_lost_.load(std::memory_order_relaxed); }
+  uint64_t frames_routed() const { return frames_routed_; }
+  uint64_t frames_dropped() const { return frames_dropped_; }
+  uint64_t frames_lost() const { return frames_lost_; }
 
   // Chaos-engine link-fault hook, consulted once per routable frame (after
   // dst lookup, before the loss roll). Return < 0 to drop the frame in
@@ -85,11 +84,9 @@ class Fabric {
   std::vector<std::pair<uint64_t, Nic*>> nodes_;
   LinkFaultHook link_fault_hook_;
   DeliveryObserver delivery_observer_;
-  // Counters are commutative sums: relaxed increments keep the final values
-  // deterministic when TX handlers route from concurrent shards.
-  std::atomic<uint64_t> frames_routed_{0};
-  std::atomic<uint64_t> frames_dropped_{0};
-  std::atomic<uint64_t> frames_lost_{0};
+  uint64_t frames_routed_ = 0;
+  uint64_t frames_dropped_ = 0;
+  uint64_t frames_lost_ = 0;
 };
 
 }  // namespace casc

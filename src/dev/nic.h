@@ -31,7 +31,7 @@ struct NicConfig {
   uint32_t irq_vector = 0x30;
   uint32_t max_frame_bytes = 2048;
   uint32_t num_rx_queues = 1;
-  // Host-parallel placement (DESIGN.md §4i): the shard that owns this NIC's
+  // Sharded placement (DESIGN.md §4i): the shard that owns this NIC's
   // ring state and delivery events. On a sharded machine the NIC's MMIO
   // registers must be programmed from this core; frames from other shards
   // arrive through the cross-shard mailbox. Ignored on legacy machines.

@@ -105,10 +105,10 @@ void ThreadSystem::HaltWith(const HaltInfo& info, const std::string& reason) {
     return;
   }
   if (ShardedExecuting()) {
-    // Inside a parallel window: stage a proposal in this shard's slot (which
+    // Inside a window: stage a proposal in this shard's slot (which
     // stops this shard via halted()) and let MergeHaltProposals pick the
     // globally-earliest halt at the barrier.
-    ShardLocal& slot = shard_local_[shard::tls_index];
+    ShardLocal& slot = shard_local_[shard::current];
     slot.halt_proposed = true;
     slot.halt_tick = sim_.now();
     slot.halt_info = info;
@@ -590,7 +590,7 @@ void ThreadSystem::RaiseExceptionAt(Ptid ptid, ExceptionType type, Addr addr, ui
   // stamps its own counter into a disjoint residue class mod kMaxShards;
   // legacy keeps the historical dense numbering.
   d.seq = router_ != nullptr
-              ? (++shard_local_[shard::tls_index].eseq) * shard::kMaxShards + shard::tls_index
+              ? (++shard_local_[shard::current].eseq) * shard::kMaxShards + shard::current
               : ++exception_seq_;
   // The descriptor write is what wakes the handler thread monitoring the EDP
   // line; schedule it after the hardware formatting delay.

@@ -159,9 +159,9 @@ class ThreadSystem {
   // In sharded execution a halt raised inside a window is first *proposed* in
   // the raising shard's slot (stopping that shard immediately) and committed
   // globally at the next barrier by MergeHaltProposals(), so the winning halt
-  // is the earliest-tick proposal regardless of host-thread interleaving.
+  // is the earliest-tick proposal regardless of which shard ran first.
   bool halted() const {
-    return halted_ || (router_ != nullptr && shard_local_[shard::tls_index].halt_proposed);
+    return halted_ || (router_ != nullptr && shard_local_[shard::current].halt_proposed);
   }
   const std::string& halt_reason() const { return halt_reason_; }
   // Structured reason; halt_reason() stays the human-readable string (and
@@ -193,11 +193,11 @@ class ThreadSystem {
   void HaltWith(const HaltInfo& info, const std::string& reason);
   void MaybePoisonRestore(Ptid ptid, Tick restore);
 
-  // True while a parallel window is executing on a sharded machine.
+  // True while a window is executing on a sharded machine.
   bool ShardedExecuting() const { return router_ != nullptr && router_->Executing(); }
   // True when an op issued by the current shard must reach core `c` through
   // the cross-shard mailbox instead of touching its state directly.
-  bool CrossShardTarget(CoreId c) const { return ShardedExecuting() && c != shard::tls_index; }
+  bool CrossShardTarget(CoreId c) const { return ShardedExecuting() && c != shard::current; }
   // now() + delay with tick-overflow saturation (cross-shard effect time).
   Tick PostTick(Tick delay) const;
 
@@ -225,11 +225,11 @@ class ThreadSystem {
   uint64_t exception_seq_ = 0;
 
   // Sharded-mode state. `router_` is the engine's mailbox (null in legacy
-  // mode). Each shard gets a padded slot holding its exception-sequence
-  // counter and pending halt proposal, so parallel windows never contend on
-  // a shared line.
+  // mode). Each shard gets a slot holding its exception-sequence counter
+  // (numbering stays independent of the order shards run in) and its
+  // pending halt proposal.
   ShardRouter* router_ = nullptr;
-  struct alignas(64) ShardLocal {
+  struct ShardLocal {
     uint64_t eseq = 0;
     bool halt_proposed = false;
     Tick halt_tick = 0;

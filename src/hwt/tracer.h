@@ -37,10 +37,10 @@ class ThreadTracer {
     TraceCause cause;
   };
 
-  // Host-parallel mode (DESIGN.md §4i): gives each shard a private buffer so
-  // Record never races across concurrent windows. Readers (events(), marks(),
-  // the dumpers) see one merged view ordered by (tick, shard) — a pure
-  // function of simulated behavior, independent of host-thread count. The
+  // Sharded mode (DESIGN.md §4i): gives each shard a private buffer, since
+  // shards record their windows one after another rather than in tick
+  // order. Readers (events(), marks(), the dumpers) see one merged view
+  // ordered by (tick, shard) — a pure function of simulated behavior. The
   // event cap applies per shard. Call before any event is recorded.
   void EnableSharding(uint32_t n) {
     assert(n >= 1 && n <= shard::kMaxShards);
@@ -53,7 +53,7 @@ class ThreadTracer {
 
   void Record(Tick tick, Ptid ptid, ThreadState from, ThreadState to, TraceCause cause) {
     if (!shards_.empty()) {
-      ShardBuf& b = shards_[shard::tls_index];
+      ShardBuf& b = shards_[shard::current];
       if (b.events.size() < max_events_) {
         b.events.push_back({tick, ptid, from, to, cause});
       } else {
@@ -81,7 +81,7 @@ class ThreadTracer {
 
   void RecordMark(Tick tick, Ptid ptid, std::string label) {
     if (!shards_.empty()) {
-      ShardBuf& b = shards_[shard::tls_index];
+      ShardBuf& b = shards_[shard::current];
       if (b.events.size() + b.marks.size() < max_events_) {
         b.marks.push_back({tick, ptid, std::move(label)});
       } else {
@@ -148,14 +148,14 @@ class ThreadTracer {
   void DumpChromeTrace(std::ostream& os, double ghz = 3.0) const;
 
  private:
-  struct alignas(64) ShardBuf {
+  struct ShardBuf {
     std::vector<Event> events;
     std::vector<Mark> marks;
     uint64_t dropped = 0;
   };
 
   // Rebuilds the merged view when per-shard buffers grew since the last
-  // read. Serial-phase only (readers never overlap a parallel window).
+  // read. Never called inside a window.
   // Concatenation order is shard order and each buffer is chronological, so
   // the stable sort yields (tick, shard, record order) — deterministic.
   void MergeIfNeeded() const {

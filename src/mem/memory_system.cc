@@ -87,7 +87,7 @@ bool MemorySystem::FirstWatcherOfAll(Addr addr, Ptid* out) const {
 }
 
 void MemorySystem::LogWrittenLine(Addr line) {
-  ShardWriteLog& log = write_logs_[shard::tls_index];
+  ShardWriteLog& log = write_logs_[shard::current];
   const uint32_t bit = BloomBit(line);
   uint64_t& word = log.bloom[bit >> 6];
   const uint64_t mask = 1ull << (bit & 63);
@@ -172,7 +172,7 @@ void MemorySystem::RegisterMmio(Addr base, uint64_t size, MmioDevice* device) {
 void MemorySystem::InvalidateForWrite(Addr addr, size_t len, CoreId writer) {
   const Addr last = LastLineClamped(addr, len);
   if (ShardedExecuting()) {
-    // Inside a parallel window only the writer's own shard state may be
+    // Inside a window only the writer's own shard state may be
     // touched: log the lines and notify the writer's predecode; every remote
     // core is invalidated at the barrier (FlushWindow).
     for (Addr line = LineBase(addr);; line += kLineSize) {
@@ -299,7 +299,7 @@ void MemorySystem::DmaWrite(Addr addr, const void* data, size_t len) {
     // The DMA lands in the shard issuing it (the device's home shard):
     // invalidate and DDIO-allocate locally, notify the local predecode, and
     // leave every remote core to the barrier flush.
-    const uint32_t s = shard::tls_index;
+    const uint32_t s = shard::current;
     CoreCaches& cc = core_caches_[s];
     for (Addr line = LineBase(addr);; line += kLineSize) {
       LogWrittenLine(line);

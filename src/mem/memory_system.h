@@ -49,7 +49,7 @@ class MemorySystem {
  public:
   MemorySystem(Simulation& sim, const MemConfig& config, uint32_t num_cores);
 
-  // Host-parallel mode (DESIGN.md §4i): one shard per core. Each shard gets
+  // Sharded mode (DESIGN.md §4i): one shard per core. Each shard gets
   // a private L3 slice (core 0 keeps the legacy L3 object), a private
   // MonitorFilter replica, and a per-window written-line log. Same-shard
   // monitor semantics stay exact and synchronous; writes that may concern
@@ -65,7 +65,7 @@ class MemorySystem {
   PhysicalMemory& phys() { return phys_; }
   // The calling shard's monitor filter (the one legacy filter when sharding
   // is off).
-  MonitorFilter& monitors() { return *filters_[shard::tls_index]; }
+  MonitorFilter& monitors() { return *filters_[shard::current]; }
   // Installs the mwait wake handler on every shard's filter.
   void SetMonitorWakeHandler(MonitorFilter::WakeHandler handler);
   // Lowest-numbered ptid watching the line containing `addr` across all
@@ -251,7 +251,7 @@ class MemorySystem {
   // Per-shard log of lines written during the current window, consumed by
   // FlushWindow. Deduplicated via a small bloom-with-exact-confirm filter (a
   // collision falls back to a scan — a line is never silently dropped).
-  struct alignas(64) ShardWriteLog {
+  struct ShardWriteLog {
     std::vector<Addr> lines;
     std::vector<Tick> first_tick;
     std::array<uint64_t, 64> bloom{};  // 4096 bits over line hashes

@@ -1,20 +1,14 @@
 // Functional (contents-only) physical memory: a sparse, page-granular flat
 // byte store. Timing is modeled separately by the cache hierarchy.
 //
-// Concurrency: host-parallel shards (DESIGN.md §4i) access physical memory
-// directly from multiple host threads, so the page table is a lock-free
-// chained hash — fixed bucket heads holding atomic pointers to immutable,
-// CAS-published nodes. Pages are only ever added, never moved or removed;
-// readers walk a chain whose links are written once before publication.
-// Byte contents are plain memory: the determinism contract (§4i) requires
-// programs to be free of same-window cross-shard conflicting accesses, which
-// is exactly the data-race-free discipline casc-race checks. Each shard gets
-// a private page memo so the one-entry cache never ping-pongs between host
-// threads.
+// The page table is a chained hash of page-sized nodes. Pages are only ever
+// added, never moved or removed, so a page pointer stays valid for the
+// memory's lifetime. Each shard (DESIGN.md §4i) gets a private one-entry page
+// memo: shards run in alternating windows, so one shared memo would be
+// evicted at every switch.
 #ifndef SRC_MEM_PHYS_MEM_H_
 #define SRC_MEM_PHYS_MEM_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -76,14 +70,12 @@ class PhysicalMemory {
   void Write64(Addr a, uint64_t v) { WriteUint(a, v, 8); }
 
   // Number of materialized pages (for tests / footprint checks).
-  size_t PageCount() const { return page_count_.load(std::memory_order_relaxed); }
+  size_t PageCount() const { return page_count_; }
 
  private:
   struct Page {
     uint8_t bytes[kPageSize];
   };
-  // A published node is immutable in `idx` and `next`; `page` contents are
-  // plain simulated memory.
   struct Node {
     Addr idx;
     Node* next;
@@ -99,8 +91,7 @@ class PhysicalMemory {
 
   const Page* FindPage(Addr addr) const {
     const Addr idx = addr >> kPageBits;
-    for (const Node* n = buckets_[Bucket(idx)].load(std::memory_order_acquire); n != nullptr;
-         n = n->next) {
+    for (const Node* n = buckets_[Bucket(idx)]; n != nullptr; n = n->next) {
       if (n->idx == idx) {
         return &n->page;
       }
@@ -113,7 +104,7 @@ class PhysicalMemory {
   // Misses are not memoized (a later write may materialize the page).
   const Page* FindPageFast(Addr addr) const {
     const Addr idx = addr >> kPageBits;
-    Memo& memo = memo_[shard::tls_index];
+    Memo& memo = memo_[shard::current];
     if (memo.page != nullptr && idx == memo.idx) {
       return memo.page;
     }
@@ -125,13 +116,13 @@ class PhysicalMemory {
     return page;
   }
 
-  struct alignas(64) Memo {
+  struct Memo {
     Addr idx = 0;
     const Page* page = nullptr;
   };
 
-  std::atomic<Node*> buckets_[kBuckets] = {};
-  std::atomic<size_t> page_count_{0};
+  Node* buckets_[kBuckets] = {};
+  size_t page_count_ = 0;
   mutable Memo memo_[shard::kMaxShards];
 };
 

@@ -41,10 +41,12 @@ uint64_t KernelScheduler::Submit(Addr pc, uint64_t a0, uint64_t a1, uint64_t pri
 SyscallHandler KernelScheduler::SpawnHandler() {
   return [this](GuestContext& ctx, const SyscallRequest& req, uint64_t* ret) -> GuestTask {
     // Shard-safety guard: this handler mutates host-side scheduler state
-    // (softs_/pending_/doorbell_seq_) from a ring-worker guest coroutine,
-    // which is only race-free under --host-threads sharding if that worker
-    // runs on the scheduler's core (same host shard). A cross-core install
-    // is refused — racing would corrupt the deques silently.
+    // (softs_/pending_/doorbell_seq_) from a ring-worker guest coroutine.
+    // On the sharded engine that is only sound if the worker runs on the
+    // scheduler's core (same shard): from another core the mutation would
+    // land mid-window without the cross-shard hop, so its effect would
+    // depend on the order shards run in rather than on simulated time. A
+    // cross-core install is refused.
     if (machine_.threads().CoreOf(ctx.ptid()) != core_) {
       std::fprintf(stderr,
                    "KernelScheduler::SpawnHandler: refused spawn from core %u; the handler's "

@@ -55,8 +55,9 @@ class KernelScheduler {
   // id) — the ring worker queues the spawn and rings the scheduler doorbell,
   // replacing the host-side Submit hop with an in-machine protocol. The
   // on-core constraint is enforced: a handler executing on any other core
-  // (a host-level data race under --host-threads sharding) refuses the
-  // spawn and completes with kSchedSpawnRefused.
+  // (on the sharded engine, a mutation of another shard's state mid-window
+  // that bypasses the cross-shard mailbox) refuses the spawn and completes
+  // with kSchedSpawnRefused.
   SyscallHandler SpawnHandler();
 
   // Binds and starts the scheduler hardware thread.

@@ -1,19 +1,17 @@
-// Shard identity for host-parallel simulation (DESIGN.md §4i).
+// Shard identity for the sharded engine (DESIGN.md §4i).
 //
-// When a Machine runs with host threads (`MachineConfig::host_threads > 0`),
-// every simulated core — with its private caches, predecoded I-cache, and
-// per-core device traffic — owns one EventQueue *shard*. Shards execute in
-// parallel between conservative synchronization barriers; all cross-shard
-// effects travel as timestamped messages posted through a ShardRouter and
-// flushed at the next window boundary in a fixed serial order, so observable
-// event order is a pure function of (program, seed, config) and never of the
-// host thread count.
+// When a Machine runs sharded (`MachineConfig::host_threads == 1`), every
+// simulated core — with its private caches, predecoded I-cache, and per-core
+// device traffic — owns one EventQueue *shard*. The ShardEngine runs the
+// shards one after another in conservative synchronization windows; all
+// cross-shard effects travel as timestamped messages posted through a
+// ShardRouter and flushed at the next window boundary in a fixed order, so
+// observable event order is a pure function of (program, seed, config).
 //
-// `tls_index` names the shard the calling host thread is currently
-// executing; components use it to pick their per-shard slice (event queue,
-// RNG stream, stat slab, trace buffer). On the host/control thread outside a
-// parallel phase it is 0, which aliases the legacy single-queue state — all
-// single-threaded code paths are unchanged.
+// `current` names the shard the engine is executing right now; components
+// use it to pick their per-shard slice (event queue, RNG stream, stat cell,
+// trace buffer). Outside a window it is 0, which aliases the legacy
+// single-queue state — legacy code paths are unchanged.
 #ifndef SRC_SIM_SHARD_H_
 #define SRC_SIM_SHARD_H_
 
@@ -30,14 +28,14 @@ namespace shard {
 // path.
 inline constexpr uint32_t kMaxShards = 64;
 
-// The shard the calling host thread is executing right now.
-inline thread_local uint32_t tls_index = 0;
+// The shard the engine is executing right now.
+inline uint32_t current = 0;
 
-// RAII guard: enters shard `s` for the current host thread.
+// RAII guard: enters shard `s`.
 class Scope {
  public:
-  explicit Scope(uint32_t s) : saved_(tls_index) { tls_index = s; }
-  ~Scope() { tls_index = saved_; }
+  explicit Scope(uint32_t s) : saved_(current) { current = s; }
+  ~Scope() { current = saved_; }
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
 
@@ -49,21 +47,20 @@ class Scope {
 
 // Cross-shard message router, implemented by the ShardEngine. Components
 // (ThreadSystem, MemorySystem, Fabric) hold a pointer to it; a null pointer
-// or `Executing() == false` means "legacy single-threaded semantics: mutate
-// the target directly".
+// or `Executing() == false` means "no window is open: mutate the target
+// directly".
 class ShardRouter {
  public:
   virtual ~ShardRouter() = default;
 
-  // True while shards are running inside a synchronization window (between
+  // True while a shard is running inside a synchronization window (between
   // barriers). Direct cross-shard mutation is forbidden in that state.
   virtual bool Executing() const = 0;
 
   // Posts `fn` to run in shard `dst`'s event queue at absolute tick `when`.
   // `when` must be >= the end of the current window (guaranteed whenever the
   // charged latency is >= the cross-shard hop, which bounds the window
-  // size). Messages are flushed at the barrier in (source shard, post order)
-  // — a deterministic order independent of host thread interleaving.
+  // size). Messages are flushed at the barrier in (source shard, post order).
   virtual void Post(uint32_t dst, Tick when, std::function<void()> fn) = 0;
 
   // Minimum cross-shard latency in ticks: the conservative lookahead that

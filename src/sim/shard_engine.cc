@@ -14,32 +14,10 @@ Tick SaturatingAdd(Tick a, Tick b) { return b > kTickMax - a ? kTickMax : a + b;
 
 }  // namespace
 
-ShardEngine::ShardEngine(Simulation& sim, uint32_t num_shards, uint32_t host_threads, Tick hop)
-    : sim_(sim),
-      num_shards_(num_shards),
-      host_threads_(std::max(1u, host_threads)),
-      hop_(std::max<Tick>(1, hop)) {
+ShardEngine::ShardEngine(Simulation& sim, uint32_t num_shards, Tick hop)
+    : sim_(sim), num_shards_(num_shards), hop_(std::max<Tick>(1, hop)) {
   assert(num_shards >= 1 && num_shards <= shard::kMaxShards);
   run_pred_ = [] { return true; };
-  // hardware_concurrency() == 0 means "unknown"; assume a real multicore.
-  const uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 1) {
-    wake_workers_ = false;
-    worker_spin_limit_ = 1;
-  }
-}
-
-ShardEngine::~ShardEngine() {
-  shutdown_.store(true, std::memory_order_seq_cst);
-  {
-    // Take the lock so a worker between its parked_ increment and wait()
-    // cannot miss the notify.
-    std::lock_guard<std::mutex> lk(park_mu_);
-  }
-  park_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    t.join();
-  }
 }
 
 void ShardEngine::AddBarrierHook(std::function<void()> hook) {
@@ -56,86 +34,9 @@ Tick ShardEngine::NextTickAll() const {
   return t;
 }
 
-void ShardEngine::EnsureWorkers() {
-  if (!workers_.empty() || host_threads_ <= 1 || num_shards_ <= 1) {
-    return;
-  }
-  const uint32_t n = std::min(host_threads_, num_shards_);
-  workers_.reserve(n - 1);
-  for (uint32_t i = 1; i < n; i++) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-void ShardEngine::RunShard(uint32_t s, Tick window_end) {
-  shard::Scope scope(s);
-  round_fired_[s].n = sim_.QueueFor(s).RunWhile(window_end, run_pred_);
-}
-
-void ShardEngine::DrainClaims() {
-  // The claim word packs [active_count:32][next_index:32]; fetch_add hands
-  // each caller a unique shard slot of the current round. Which host thread
-  // claims which shard is arbitrary — results do not depend on it.
-  for (;;) {
-    const uint64_t w = claim_.fetch_add(1, std::memory_order_acq_rel);
-    const uint32_t count = static_cast<uint32_t>(w >> 32);
-    const uint32_t idx = static_cast<uint32_t>(w);
-    if (idx >= count) {
-      return;
-    }
-    RunShard(active_[idx], window_end_);
-    shards_done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void ShardEngine::PublishRound() {
-  shards_done_.store(0, std::memory_order_relaxed);
-  claim_.store(static_cast<uint64_t>(active_count_) << 32, std::memory_order_seq_cst);
-  if (wake_workers_ && parked_.load(std::memory_order_seq_cst) > 0) {
-    park_cv_.notify_all();
-  }
-}
-
-void ShardEngine::JoinRound() {
-  // Busy-wait: rounds are ~a microsecond of work, parking here would
-  // dominate the window cost. Fall back to yielding if the wait drags on
-  // (oversubscribed host: the thread holding the last shard needs our
-  // timeslice more than we do).
-  uint32_t spins = 0;
-  while (shards_done_.load(std::memory_order_acquire) != active_count_) {
-    if (++spins >= 4096) {
-      std::this_thread::yield();
-    }
-  }
-}
-
-void ShardEngine::WorkerLoop() {
-  const auto work_available = [this] {
-    const uint64_t w = claim_.load(std::memory_order_seq_cst);
-    return static_cast<uint32_t>(w) < static_cast<uint32_t>(w >> 32);
-  };
-  uint32_t spins = 0;
-  while (!shutdown_.load(std::memory_order_relaxed)) {
-    if (work_available()) {
-      spins = 0;
-      DrainClaims();
-      continue;
-    }
-    if (++spins >= worker_spin_limit_) {
-      std::unique_lock<std::mutex> lk(park_mu_);
-      parked_.fetch_add(1, std::memory_order_seq_cst);
-      park_cv_.wait(lk, [&] {
-        return work_available() || shutdown_.load(std::memory_order_relaxed);
-      });
-      parked_.fetch_sub(1, std::memory_order_seq_cst);
-      spins = 0;
-    }
-  }
-}
-
 void ShardEngine::FlushMessages() {
   for (uint32_t src = 0; src < num_shards_; src++) {
-    for (Msg& m : outboxes_[src].msgs) {
+    for (Msg& m : outboxes_[src]) {
       EventQueue& q = sim_.QueueFor(m.dst);
       // Conservative lookahead guarantee: the effect time is at or after the
       // end of the window that produced the message, so it is never in the
@@ -143,25 +44,25 @@ void ShardEngine::FlushMessages() {
       assert(m.when >= q.now());
       q.ScheduleFn(m.when, std::move(m.fn));
     }
-    outboxes_[src].msgs.clear();
+    outboxes_[src].clear();
   }
 }
 
 void ShardEngine::Post(uint32_t dst, Tick when, std::function<void()> fn) {
   assert(dst < num_shards_);
   if (!Executing()) {
-    // Host/control phase (boot, barrier hooks, exit normalization): serial,
-    // so scheduling into the target directly is deterministic.
+    // Control phase (boot, barrier hooks, exit normalization): no window is
+    // open, so scheduling into the target directly is deterministic.
     sim_.QueueFor(dst).ScheduleFn(when, std::move(fn));
     return;
   }
-  outboxes_[shard::tls_index].msgs.push_back(Msg{dst, when, std::move(fn)});
+  outboxes_[shard::current].push_back(Msg{dst, when, std::move(fn)});
   if (solo_running_) {
     // The solo fast path assumed no other shard wakes before its horizon;
     // this message may wake one sooner. Abort at the next dispatch boundary,
     // and break any quiet-advance chain in progress (a core spin-waiting on
     // the woken shard would otherwise never return to the engine).
-    posted_.store(true, std::memory_order_relaxed);
+    posted_ = true;
     EventQueue& q = sim_.QueueFor(solo_shard_);
     q.ClampAdvanceLimit(q.now());
   }
@@ -169,13 +70,11 @@ void ShardEngine::Post(uint32_t dst, Tick when, std::function<void()> fn) {
 
 uint64_t ShardEngine::Advance(Tick limit, uint64_t max_events, bool stop_on_halt,
                               bool normalize_to_limit) {
-  EnsureWorkers();
   const uint64_t total_before = sim_.TotalEventsFired();
   uint64_t fired = 0;
   for (;;) {
     // Barrier: hooks (window flush, halt merge), then the cross-shard
-    // message flush, all serial and in fixed order — determinism is decided
-    // here, never by host thread interleaving.
+    // message flush, in fixed order — determinism is decided here.
     for (const auto& hook : barrier_hooks_) {
       hook();
     }
@@ -191,20 +90,21 @@ uint64_t ShardEngine::Advance(Tick limit, uint64_t max_events, bool stop_on_halt
       break;
     }
     const Tick window_end = std::min(limit, SaturatingAdd(t, hop_ - 1));
-    active_count_ = 0;
+    uint32_t active[shard::kMaxShards];
+    uint32_t active_count = 0;
     for (uint32_t s = 0; s < num_shards_; s++) {
       if (sim_.QueueFor(s).NextTick() <= window_end) {
-        active_[active_count_++] = s;
+        active[active_count++] = s;
       }
     }
-    assert(active_count_ > 0);
-    if (active_count_ == 1) {
+    assert(active_count > 0);
+    if (active_count == 1) {
       // Solo fast path: one shard has all the near-term work (always the
       // case on single-core machines and during single-threaded program
       // phases). Run it beyond the window — up to the last tick before the
       // earliest possible cross-shard effect on any other shard — without
       // paying a barrier per window.
-      const uint32_t s = active_[0];
+      const uint32_t s = active[0];
       Tick second = kTickMax;
       for (uint32_t o = 0; o < num_shards_; o++) {
         if (o != s) {
@@ -216,14 +116,14 @@ uint64_t ShardEngine::Advance(Tick limit, uint64_t max_events, bool stop_on_halt
       EventQueue& q = sim_.QueueFor(s);
       const uint64_t before = q.events_fired();
       const uint64_t budget = max_events - fired;
-      posted_.store(false, std::memory_order_relaxed);
+      posted_ = false;
       solo_running_ = true;
       solo_shard_ = s;
-      executing_.store(true, std::memory_order_release);
+      executing_ = true;
       {
         shard::Scope scope(s);
         fired += q.RunWhile(horizon, [&] {
-          if (posted_.load(std::memory_order_relaxed)) {
+          if (posted_) {
             return false;
           }
           if (q.events_fired() - before >= budget) {
@@ -232,18 +132,15 @@ uint64_t ShardEngine::Advance(Tick limit, uint64_t max_events, bool stop_on_halt
           return !(stop_on_halt && halted_fn_ && halted_fn_());
         });
       }
-      executing_.store(false, std::memory_order_release);
+      executing_ = false;
       solo_running_ = false;
     } else {
-      window_end_ = window_end;
-      executing_.store(true, std::memory_order_release);
-      PublishRound();
-      DrainClaims();  // the host thread works the round too
-      JoinRound();
-      executing_.store(false, std::memory_order_release);
-      for (uint32_t i = 0; i < active_count_; i++) {
-        fired += round_fired_[active_[i]].n;
+      executing_ = true;
+      for (uint32_t i = 0; i < active_count; i++) {
+        shard::Scope scope(active[i]);
+        fired += sim_.QueueFor(active[i]).RunWhile(window_end, run_pred_);
       }
+      executing_ = false;
     }
   }
   // Exit normalization: bring every shard to one common clock so callers see

@@ -1,12 +1,12 @@
 // The per-run simulation context: event queue, stats, RNG, and the clock
 // definition. Every simulated component holds a reference to one Simulation.
 //
-// Host-parallel mode (DESIGN.md §4i): EnableSharding(n) splits the context
-// into n shards, each with its own EventQueue and RNG stream. `queue()`,
-// `now()` and `rng()` then resolve to the calling shard's slice via
-// `shard::tls_index`; shard 0 reuses the legacy queue and RNG object, so a
-// sharded single-core machine draws the exact random stream and tick
-// sequence the legacy path would. With sharding off every accessor returns
+// Sharded mode (DESIGN.md §4i): EnableSharding(n) splits the context into n
+// shards, each with its own EventQueue and RNG stream. `queue()`, `now()` and
+// `rng()` then resolve to the executing shard's slice via `shard::current`;
+// shard 0 reuses the legacy queue and RNG object, so a sharded single-core
+// machine draws the exact random stream and tick sequence the legacy path
+// would. With sharding off every accessor returns
 // the one legacy instance — the table indirection is the only cost.
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
@@ -52,17 +52,17 @@ class Simulation {
   // 0 = legacy single-queue mode; >= 1 once EnableSharding ran.
   uint32_t num_shards() const { return num_shards_; }
 
-  EventQueue& queue() { return *queue_tab_[shard::tls_index]; }
+  EventQueue& queue() { return *queue_tab_[shard::current]; }
   EventQueue& QueueFor(uint32_t s) { return *queue_tab_[s]; }
   StatsRegistry& stats() { return stats_; }
-  Rng& rng() { return *rng_tab_[shard::tls_index]; }
+  Rng& rng() { return *rng_tab_[shard::current]; }
 
   // The cross-shard message router, installed by the ShardEngine. Null in
-  // legacy mode and on sharded machines outside a parallel phase.
+  // legacy mode.
   ShardRouter* router() const { return router_; }
   void set_router(ShardRouter* router) { router_ = router; }
 
-  Tick now() const { return queue_tab_[shard::tls_index]->now(); }
+  Tick now() const { return queue_tab_[shard::current]->now(); }
   double ghz() const { return ghz_; }
 
   // Sum of events fired across all shards (= events_fired() in legacy mode).

@@ -3,15 +3,11 @@
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
 
-#include <cassert>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
-
-#include "src/sim/shard.h"
 
 namespace casc {
 
@@ -65,107 +61,53 @@ class Histogram {
 // construction via Intern()/InternHist() — after that no string lookup ever
 // runs per event. Handles (like the raw references) stay valid for the
 // registry's lifetime because the backing std::map nodes never move; Reset()
-// invalidates nothing (it clears values in place — see Reset()).
-//
-// Sharded mode (DESIGN.md §4i): EnableSharding(n) — called before any
-// component interns — gives every shard a private slab of counter cells and
-// a private copy of every histogram. Handles then dispatch on the calling
-// shard (`shard::tls_index`), so parallel shards never contend or race on a
-// shared cell; reads (get()/GetCounter/Dump/DumpJson) sum or merge across
-// shards, making the exported values independent of how work was split.
-// With sharding off (the default) the legacy direct-pointer path is used
-// unchanged.
+// invalidates nothing (it clears values in place — see Reset()). Interning
+// the same name twice yields the same cell, so per-shard component replicas
+// (e.g. one MonitorFilter per shard) share one counter.
 class StatsRegistry {
-  // Sharded-mode histogram cell: one private copy per shard plus read-side
-  // merge scratch. Defined first so the public handles can dispatch on it.
-  struct ShardedHist {
-    std::vector<Histogram> per_shard;
-    mutable Histogram merged;
-  };
-
  public:
   // An interned counter: a stable pointer into the registry with counter
   // ergonomics (`h++`, `h += n`).
   class CounterHandle {
    public:
     CounterHandle() = default;
-    uint64_t operator++(int) { return cell()++; }
+    uint64_t operator++(int) { return (*value_)++; }
     CounterHandle& operator++() {
-      ++cell();
+      ++*value_;
       return *this;
     }
     CounterHandle& operator+=(uint64_t delta) {
-      cell() += delta;
+      *value_ += delta;
       return *this;
     }
-    uint64_t get() const;
-    bool valid() const { return value_ != nullptr || reg_ != nullptr; }
+    uint64_t get() const { return *value_; }
+    bool valid() const { return value_ != nullptr; }
 
    private:
     friend class StatsRegistry;
     explicit CounterHandle(uint64_t* value) : value_(value) {}
-    CounterHandle(const StatsRegistry* reg, uint32_t off) : reg_(reg), off_(off) {}
-    uint64_t& cell() const {
-      return reg_ == nullptr ? *value_ : reg_->slabs_[shard::tls_index][off_];
-    }
-    uint64_t* value_ = nullptr;        // legacy: direct cell
-    const StatsRegistry* reg_ = nullptr;  // sharded: slab dispatch
-    uint32_t off_ = 0;
+    uint64_t* value_ = nullptr;
   };
 
   // An interned histogram.
   class HistHandle {
    public:
     HistHandle() = default;
-    void Record(uint64_t value, uint64_t weight = 1) {
-      (cell_ == nullptr ? *hist_ : cell_->per_shard[shard::tls_index]).Record(value, weight);
-    }
-    const Histogram& hist() const;
-    bool valid() const { return hist_ != nullptr || cell_ != nullptr; }
+    void Record(uint64_t value, uint64_t weight = 1) { hist_->Record(value, weight); }
+    const Histogram& hist() const { return *hist_; }
+    bool valid() const { return hist_ != nullptr; }
 
    private:
     friend class StatsRegistry;
     explicit HistHandle(Histogram* hist) : hist_(hist) {}
-    explicit HistHandle(ShardedHist* cell) : cell_(cell) {}
-    Histogram* hist_ = nullptr;    // legacy: direct histogram
-    ShardedHist* cell_ = nullptr;  // sharded: per-shard copies
+    Histogram* hist_ = nullptr;
   };
 
-  // Switches the registry into sharded mode with `n` shards. Must run before
-  // any name is interned (Machine calls it first thing when host-parallel
-  // execution is configured).
-  void EnableSharding(uint32_t n);
-  uint32_t num_shards() const { return num_shards_; }
+  uint64_t& Counter(const std::string& name) { return counters_[name]; }
+  Histogram& Hist(const std::string& name) { return hists_[name]; }
 
-  // The calling shard's cell/histogram for `name` (legacy: the single cell).
-  uint64_t& Counter(const std::string& name) {
-    if (num_shards_ == 0) {
-      return counters_[name];
-    }
-    return slabs_[shard::tls_index][InternOffset(name)];
-  }
-  Histogram& Hist(const std::string& name) {
-    if (num_shards_ == 0) {
-      return hists_[name];
-    }
-    return ShardedHistFor(name).per_shard[shard::tls_index];
-  }
-
-  CounterHandle Intern(const std::string& name) {
-    if (num_shards_ == 0) {
-      return CounterHandle(&counters_[name]);
-    }
-    // Re-interning the same name yields the same offset: per-shard component
-    // replicas (e.g. one MonitorFilter per shard) each bump their own
-    // shard's cell and the read side sums them.
-    return CounterHandle(this, InternOffset(name));
-  }
-  HistHandle InternHist(const std::string& name) {
-    if (num_shards_ == 0) {
-      return HistHandle(&hists_[name]);
-    }
-    return HistHandle(&ShardedHistFor(name));
-  }
+  CounterHandle Intern(const std::string& name) { return CounterHandle(&counters_[name]); }
+  HistHandle InternHist(const std::string& name) { return HistHandle(&hists_[name]); }
 
   uint64_t GetCounter(const std::string& name) const;
   const Histogram* GetHist(const std::string& name) const;
@@ -180,72 +122,9 @@ class StatsRegistry {
   void Reset();
 
  private:
-  friend class CounterHandle;
-
-  // Per-shard counter slab capacity; far above the few hundred names the
-  // simulator interns, and asserted on every new intern.
-  static constexpr uint32_t kSlabCells = 16384;
-
-  uint32_t InternOffset(const std::string& name) {
-    auto [it, inserted] = offsets_.try_emplace(name, next_off_);
-    if (inserted) {
-      assert(next_off_ < kSlabCells);
-      next_off_++;
-    }
-    return it->second;
-  }
-  ShardedHist& ShardedHistFor(const std::string& name) {
-    ShardedHist& h = sharded_hists_[name];
-    if (h.per_shard.empty()) {
-      h.per_shard.resize(num_shards_);
-    }
-    return h;
-  }
-  uint64_t SumCounter(uint32_t off) const {
-    uint64_t total = 0;
-    for (uint32_t s = 0; s < num_shards_; s++) {
-      total += slabs_[s][off];
-    }
-    return total;
-  }
-  const Histogram& MergeHist(const ShardedHist& h) const {
-    h.merged.Reset();
-    for (const Histogram& part : h.per_shard) {
-      h.merged.Merge(part);
-    }
-    return h.merged;
-  }
-  // Snapshot of every counter/histogram with per-shard parts combined; the
-  // common read-side representation Dump/DumpJson/Get* work from.
-  std::map<std::string, uint64_t> CollectCounters() const;
-
-  // Legacy storage (num_shards_ == 0).
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, Histogram> hists_;
-
-  // Sharded storage.
-  uint32_t num_shards_ = 0;
-  uint32_t next_off_ = 0;
-  std::map<std::string, uint32_t> offsets_;
-  std::map<std::string, ShardedHist> sharded_hists_;
-  std::vector<std::unique_ptr<uint64_t[]>> slab_storage_;
-  uint64_t* slabs_[shard::kMaxShards] = {};
 };
-
-inline uint64_t StatsRegistry::CounterHandle::get() const {
-  return reg_ == nullptr ? *value_ : reg_->SumCounter(off_);
-}
-
-inline const Histogram& StatsRegistry::HistHandle::hist() const {
-  if (cell_ == nullptr) {
-    return *hist_;
-  }
-  cell_->merged.Reset();
-  for (const Histogram& part : cell_->per_shard) {
-    cell_->merged.Merge(part);
-  }
-  return cell_->merged;
-}
 
 }  // namespace casc
 

@@ -109,14 +109,13 @@ TEST(ScenarioTest, SameSeedSameStatsBytes) {
 
 // Cross-core scenario determinism (DESIGN.md §4k): each of the three
 // cross-core fault classes must be bit-reproducible per engine — same seed,
-// same stats JSON — on the legacy engine and on the sharded engine, and the
-// sharded aggregate must be independent of the worker count (ht1 == ht4).
-// ht0 is allowed to differ from ht>=1 (direct cross-core paths vs mailbox
-// hops are different timing models), which is why this test compares within
-// each engine, never across.
+// same stats JSON — on the legacy engine (ht0) and on the sharded engine
+// (ht1). ht0 is allowed to differ from ht1 (direct cross-core paths vs
+// mailbox hops are different timing models), which is why this test
+// compares within each engine, never across.
 TEST(ScenarioTest, CrossCoreScenariosAreDeterministicPerEngine) {
   for (FaultClass cls : CrossCoreScenarioClasses()) {
-    for (uint32_t ht : {0u, 1u, 4u}) {
+    for (uint32_t ht : {0u, 1u}) {
       SCOPED_TRACE(std::string(FaultClassName(cls)) + " ht" + std::to_string(ht));
       SetDefaultHostThreads(ht);
       ScenarioOptions opts;
@@ -129,21 +128,6 @@ TEST(ScenarioTest, CrossCoreScenariosAreDeterministicPerEngine) {
     }
   }
   SetDefaultHostThreads(0);
-}
-
-TEST(ScenarioTest, CrossCoreScenariosShardIdenticallyAcrossWorkerCounts) {
-  for (FaultClass cls : CrossCoreScenarioClasses()) {
-    SCOPED_TRACE(FaultClassName(cls));
-    ScenarioOptions opts;
-    opts.seed = 5;
-    SetDefaultHostThreads(1);
-    const ScenarioOutcome a = RunScenario(cls, opts);
-    SetDefaultHostThreads(4);
-    const ScenarioOutcome b = RunScenario(cls, opts);
-    SetDefaultHostThreads(0);
-    EXPECT_TRUE(a.ok) << a.why_not_ok;
-    EXPECT_EQ(a.stats_json, b.stats_json) << "sharded aggregate depends on worker count";
-  }
 }
 
 TEST(ScenarioTest, ChainExhaustionHaltsWithReportableReason) {

@@ -171,8 +171,8 @@ TEST_F(KschedulerTest, RingSpawnReplacesHostSubmitHop) {
 TEST_F(KschedulerTest, SpawnHandlerRefusesCrossCoreInstall) {
   // SpawnHandler mutates host-side scheduler state, which is shard-safe only
   // when its RingServer runs on the scheduler's core. A ring installed on
-  // another core must get a clean refusal (kSchedSpawnRefused) instead of a
-  // host-level data race under --host-threads sharding.
+  // another core must get a clean refusal (kSchedSpawnRefused) instead of
+  // mutating another shard's state mid-window on the sharded engine.
   sched_->AddWorkerPool(0, 1, 4);
   sched_->Install();
   timer_->StartTimer();

@@ -138,12 +138,12 @@ void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
              "simhost config \"" + config + "\" missing positive \"sim_insts_per_sec\"");
       }
     }
-    // The host-parallel scaling sweep (DESIGN.md §4i) and the interpreter
+    // The legacy-vs-sharded engine rows (DESIGN.md §4i) and the interpreter
     // predecode ablation (§4j) must be present: a refactor that silently
-    // dropped the sharded-engine or interpreter rows would otherwise still
-    // pass the per-config checks above.
-    for (const char* required : {"multicore8_ht1", "multicore8_ht2", "multicore8_ht4",
-                                 "multicore8_ht8", "interp", "interp_nopredecode"}) {
+    // dropped the engine or interpreter rows would otherwise still pass the
+    // per-config checks above.
+    for (const char* required :
+         {"multicore8_ht0", "multicore8_ht1", "interp", "interp_nopredecode"}) {
       if (host_ms_ok.find(required) == host_ms_ok.end()) {
         Fail(path, "simhost sweep missing required config \"" + std::string(required) + "\"");
       }

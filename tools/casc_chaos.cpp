@@ -3,7 +3,7 @@
 //
 //   casc-chaos [--scenario=all|single-core|cross-core|<class>] [--seed=N]
 //              [--faults=N] [--duration=N] [--at=T | --every=N | --prob=P]
-//              [--expect-halt] [--host-threads=N] [--stats-json=<path>]
+//              [--expect-halt] [--host-threads=0|1] [--stats-json=<path>]
 //              [--trace-json=<path>] [--list] [--help]
 //
 // Scenarios (one per fault class; `--list` prints them):
@@ -18,13 +18,13 @@
 //   remote-start-race   a cross-core start collides with a revoking stop
 //
 // Every run is bit-reproducible: the same --seed yields byte-identical
-// --stats-json output per engine. The single-core group is additionally
-// byte-identical across every --host-threads value; the cross-core group
-// (two-core machines) is byte-identical across all sharded engines
-// (--host-threads >= 1) but legitimately differs at --host-threads 0, where
-// cross-core operations take direct paths instead of mailbox hops
-// (the flag runs each scenario's machine on the host-parallel sharded
-// engine, DESIGN.md §4i; 0 = legacy single-threaded engine, the default).
+// --stats-json output per engine. --host-threads selects the engine for every
+// scenario machine (DESIGN.md §4i): 0 = legacy single-queue engine (the
+// default), 1 = sharded engine; any other value is a usage error. The
+// single-core group is byte-identical across the two engines; the
+// cross-core group (two-core machines) legitimately differs, because
+// cross-core operations take direct paths on the legacy engine and mailbox
+// hops on the sharded one.
 // --expect-halt (edp-unwritable only) removes the
 // top-level handler so the chain exhausts and the machine halts cleanly.
 // Exit code: 0 if every scenario met its expectation, 1 otherwise, 2 on
@@ -48,7 +48,7 @@ void PrintUsage(FILE* out) {
                "usage: casc-chaos [--scenario=all|single-core|cross-core|<class>]\n"
                "                  [--seed=N] [--faults=N]\n"
                "                  [--duration=N] [--at=T | --every=N | --prob=P]\n"
-               "                  [--expect-halt] [--host-threads=N] "
+               "                  [--expect-halt] [--host-threads=0|1] "
                "[--stats-json=<path>]\n"
                "                  [--trace-json=<path>] [--list] [--help]\n");
 }
@@ -121,7 +121,11 @@ int main(int argc, char** argv) {
   // Scenario machines leave MachineConfig::host_threads at its "use the
   // process default" sentinel, so this one call threads the flag through to
   // every machine the campaign builds.
-  SetDefaultHostThreads(static_cast<uint32_t>(cfg.GetUint("host-threads", 0)));
+  const uint64_t host_threads = cfg.GetUint("host-threads", 0);
+  if (!HostThreadsFlagOk(host_threads)) {
+    return 2;
+  }
+  SetDefaultHostThreads(static_cast<uint32_t>(host_threads));
 
   ScenarioOptions opts;
   opts.seed = cfg.GetUint("seed", 1);

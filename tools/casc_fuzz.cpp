@@ -1,7 +1,7 @@
 // casc-fuzz: differential fuzzer for the CASC simulator.
 //
 //   casc-fuzz [--seed=N] [--iters=N] [--points=0,3,6] [--max-events=N]
-//             [--out=<dir>] [--determinism] [--race-check] [--host-threads=N]
+//             [--out=<dir>] [--determinism] [--race-check] [--host-threads=0|1]
 //             [--cores=N] [--chaos] [--chaos-seed=N] [--fault-mask=N]
 //             [--watchdog-ticks=N] [--list-points]
 //   casc-fuzz --repro=<file.casm> [--points=...]
@@ -34,11 +34,12 @@
 // the untimed reference model. On a failure, the program is auto-shrunk to a
 // minimal repro and written as a `.casm` file (to --out, default cwd).
 //
-// --host-threads=N runs every simulator build on the host-parallel sharded
-// engine (DESIGN.md §4i; 0 = legacy, the default) — the differential
-// comparison against the untimed reference then doubles as a determinism
-// check for the sharded engine. Ignored (forced to 0, with a note) when
-// --race-check is on: the race observer is not thread-safe.
+// --host-threads=1 runs every simulator build on the sharded engine
+// (DESIGN.md §4i; 0 = legacy, the default; any other value is a usage
+// error) — the differential comparison against the untimed reference then
+// doubles as a check of the sharded engine. Ignored (forced to 0, with a
+// warning) when --race-check is on: the race observer needs the legacy
+// engine's global event order.
 //
 // --repro re-runs one saved case and reports pass/fail; --corpus runs every
 // `.casm` file in a directory (regression mode; no shrinking). Exit code:
@@ -147,16 +148,19 @@ int main(int argc, char** argv) {
       opts.race_check = false;
     }
   }
-  uint32_t host_threads = static_cast<uint32_t>(cfg.GetUint("host-threads", 0));
+  uint64_t host_threads = cfg.GetUint("host-threads", 0);
+  if (!HostThreadsFlagOk(host_threads)) {
+    return 2;
+  }
   if (opts.race_check && host_threads != 0) {
     std::fprintf(stderr,
                  "warning: --race-check forces --host-threads=0 (the race observer "
-                 "is not thread-safe)\n");
+                 "needs the legacy engine's global event order)\n");
     host_threads = 0;
   }
   // Lattice machines leave MachineConfig::host_threads at the "process
   // default" sentinel, so this threads the flag through every build.
-  SetDefaultHostThreads(host_threads);
+  SetDefaultHostThreads(static_cast<uint32_t>(host_threads));
 
   const std::string repro = cfg.GetString("repro");
   if (!repro.empty()) {

@@ -1,7 +1,7 @@
 // casc-run: assemble a .casm file and run it on a simulated machine.
 //
 //   casc-run prog.casm [--entry=symbol] [--supervisor=true] [--max-cycles=N]
-//            [--cores=1] [--threads-per-core=64] [--host-threads=N] [--trace]
+//            [--cores=1] [--threads-per-core=64] [--host-threads=0|1] [--trace]
 //            [--trace-json=<path>] [--dump-stats] [--stats-json=<path>]
 //            [--no-lint] [--race-check]
 //
@@ -23,12 +23,13 @@
 // the flag off, no observer is installed and the hot path only pays a null
 // pointer test.
 //
-// --host-threads=N runs the machine on the host-parallel sharded engine
-// (DESIGN.md §4i) with N host threads; 0 (the default) keeps the legacy
-// single-threaded engine. Simulated results are a pure function of
-// (program, seed, config): --stats-json output is byte-identical at every
-// host-thread count. --race-check forces the legacy engine (the vector-clock
-// observer is itself not thread-safe); a note goes to stderr.
+// --host-threads selects the event engine (DESIGN.md §4i): 0 (the default)
+// is the legacy single-queue engine, 1 the sharded engine with one shard per
+// core run in serial conservative sync windows; any other value is a usage
+// error. Simulated results are a pure function of (program, seed, config).
+// --race-check forces the legacy engine (the vector-clock observer needs the
+// global event order, which sharded windows do not keep); a note goes to
+// stderr.
 // With a multi-core machine (--cores=N), harness threads land on core
 // ptid / threads-per-core — `--cores=4 --threads-per-core=1` spreads t0..t3
 // across four cores/shards.
@@ -53,7 +54,7 @@ void PrintUsage(FILE* out) {
   std::fprintf(out,
                "usage: casc-run <file.casm> [--entry=symbol] [--supervisor=true]\n"
                "                [--max-cycles=N] [--cores=1] [--threads-per-core=64]\n"
-               "                [--host-threads=N] [--trace] [--trace-json=<path>]\n"
+               "                [--host-threads=0|1] [--trace] [--trace-json=<path>]\n"
                "                [--dump-stats] [--stats-json=<path>] [--no-lint]\n"
                "                [--race-check] [--help]\n");
 }
@@ -92,11 +93,15 @@ int main(int argc, char** argv) {
   MachineConfig mc;
   mc.num_cores = static_cast<uint32_t>(cfg.GetUint("cores", 1));
   mc.hwt.threads_per_core = static_cast<uint32_t>(cfg.GetUint("threads-per-core", 64));
-  mc.host_threads = static_cast<uint32_t>(cfg.GetUint("host-threads", 0));
+  const uint64_t host_threads = cfg.GetUint("host-threads", 0);
+  if (!HostThreadsFlagOk(host_threads)) {
+    return 2;
+  }
+  mc.host_threads = static_cast<uint32_t>(host_threads);
   if (cfg.GetBool("race-check", false) && mc.host_threads != 0) {
     std::fprintf(stderr,
                  "note: --race-check forces --host-threads=0 (the race observer "
-                 "is not thread-safe)\n");
+                 "needs the legacy engine's global event order)\n");
     mc.host_threads = 0;
   }
 

@@ -4,36 +4,22 @@
 # a fixed-seed generator run across the whole config lattice with determinism
 # and race checking), the saved regression corpus (fuzz_corpus), the
 # chaos_smoke tier (every fault-injection scenario plus the seed-determinism
-# check), and the fuzz_chaos tier (chaos-differential batches across the
-# host-threads lattice and per-fault-class masks, campaign-replay
+# check), and the fuzz_chaos tier (chaos-differential batches on both
+# engines and per-fault-class masks, campaign-replay
 # determinism, and the wedged-fixture watchdog negative; DESIGN.md §4k).
 # Memory errors in the simulator, the reference model, or the
 # fault-recovery paths surface here rather than as silent state divergence.
 # The interpreter has one dispatch path (DESIGN.md §4j), so every tier
-# exercises the engine that ships.
-#
-# The `thread` tier builds with TSan and runs the tests labelled `tsan`: the
-# concurrency-analyzer suite, the monitor/mwait race fixtures, the sharded
-# engine's unit suite (test_shard), and bench + chaos smokes with a real
-# 4-worker host pool (--host-threads=4) — including the cross-core fault
-# campaigns (chaos_tsan_cross_core) — so the engine's claim/park/mailbox
-# machinery itself runs under the race detector. Host-level data races in the
-# simulator's own bookkeeping surface here, complementing the guest-level
-# casc-race detector.
+# exercises the engine that ships. The simulator runs on one host thread, so
+# there is no thread-sanitizer tier.
 #
 # Usage: ci_sanitize.sh [sanitizers] [build-dir]
-#   sanitizers   comma list for -fsanitize (default: address,undefined;
-#                `thread` selects the TSan tier)
-#   build-dir    default: build-sanitize (build-sanitize-thread for TSan)
+#   sanitizers   comma list for -fsanitize (default: address,undefined)
+#   build-dir    default: build-sanitize
 set -eu
 
 san=${1:-address,undefined}
-if [ "$san" = "thread" ]; then
-  default_build=build-sanitize-thread
-else
-  default_build=build-sanitize
-fi
-build=${2:-$default_build}
+build=${2:-build-sanitize}
 src_root=$(cd "$(dirname "$0")/.." && pwd)
 
 cmake -B "$build" -S "$src_root" \
@@ -45,12 +31,7 @@ cmake --build "$build" -j"$(nproc)"
 # halt_on_error makes sanitizer findings fail the test run instead of
 # printing and continuing; detect_leaks catches forgotten event-queue
 # allocations.
-if [ "$san" = "thread" ]; then
-  TSAN_OPTIONS=halt_on_error=1 \
-    sh -c "cd '$build' && ctest -L tsan --output-on-failure -j\"\$(nproc)\""
-else
-  ASAN_OPTIONS=detect_leaks=1 \
-  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    sh -c "cd '$build' && ctest --output-on-failure -j\"\$(nproc)\""
-fi
+ASAN_OPTIONS=detect_leaks=1 \
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  sh -c "cd '$build' && ctest --output-on-failure -j\"\$(nproc)\""
 echo "ci_sanitize: all tests clean under $san"

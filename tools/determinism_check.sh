@@ -6,12 +6,11 @@
 # uninitialized reads) — the kind that silently breaks differential fuzzing.
 #
 # With a casc_run binary and a program as extra arguments, the check also
-# covers the host-parallel sharded engine (DESIGN.md §4i): the program runs
-# on two cores at --host-threads 1, 2, and 4, and every stats dump — and
-# stdout — must be byte-identical. Host-thread count sizes the worker pool;
-# it is not part of the simulated configuration, so any divergence is a
-# cross-shard ordering bug (a mailbox drained in host order, a window
-# boundary that moved with the thread count).
+# covers the sharded engine (DESIGN.md §4i): the program runs on two cores
+# twice at --host-threads=1 and once at --host-threads=0, and every stats
+# dump — and stdout — must be byte-identical. The program's threads send no
+# cross-core start, stop or monitor wake, so the sharded engine has no
+# mailbox hop to re-time and must match the legacy engine exactly.
 #
 # Usage: determinism_check.sh <examples-dir> <scratch-dir> [<casc_run> <prog.casm>]
 set -eu
@@ -51,18 +50,19 @@ if [ -n "$casc_run" ]; then
   base_out="$scratch/hostthreads.ht1.out"
   "$casc_run" "$prog" --cores=2 --threads-per-core=1 --host-threads=1 \
     --stats-json="$base_json" > "$base_out"
-  for ht in 2 4; do
-    j="$scratch/hostthreads.ht$ht.json"
-    o="$scratch/hostthreads.ht$ht.out"
-    "$casc_run" "$prog" --cores=2 --threads-per-core=1 --host-threads="$ht" \
+  for run in ht1.run2 ht0; do
+    j="$scratch/hostthreads.$run.json"
+    o="$scratch/hostthreads.$run.out"
+    ht=${run%%.*}
+    "$casc_run" "$prog" --cores=2 --threads-per-core=1 --host-threads="${ht#ht}" \
       --stats-json="$j" > "$o"
     if ! cmp -s "$base_json" "$j" || ! cmp -s "$base_out" "$o"; then
-      echo "determinism_check: --host-threads=$ht diverges from --host-threads=1:" >&2
+      echo "determinism_check: $run diverges from the first --host-threads=1 run:" >&2
       diff "$base_json" "$j" >&2 || true
       diff "$base_out" "$o" >&2 || true
       fail=1
     else
-      echo "determinism_check: host-threads $ht ok (stats + stdout byte-identical)"
+      echo "determinism_check: $run ok (stats + stdout byte-identical)"
     fi
   done
 fi
