@@ -16,12 +16,15 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, Core
       timings_(timings),
       l1i_hit_latency_(mem.config().l1i.hit_latency),
       eq_(&sim.QueueFor(sim.num_shards() != 0 ? id : 0)),
+      queue_(&ts.queue(id)),
+      store_(&ts.store(id)),
+      smt_width_(ts.config().smt_width),
       tick_event_(this),
       native_base_(ts.PtidOf(id, 0)),
       stat_instructions_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".instructions")),
       stat_active_cycles_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".active_cycles")),
       stat_idle_wakeups_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".idle_wakeups")) {
-  picked_.resize(ts.config().smt_width);
+  picked_.resize(smt_width_);
   mem_.AddCodeWriteListener(id_, [this](Addr line) { InvalidatePredecodeLine(line); });
 }
 
@@ -65,11 +68,7 @@ void Core::Kick() {
   if (ts_.halted()) {
     return;
   }
-  SchedQueue& q = ts_.queue(id_);
-  if (q.Empty()) {
-    return;
-  }
-  const Tick next = q.NextWorkTick(eq_->now());
+  const Tick next = queue_->NextWorkTick(eq_->now());
   if (next == std::numeric_limits<Tick>::max()) {
     return;
   }
@@ -83,11 +82,10 @@ void Core::Cycle() {
   if (ts_.halted()) {
     return;
   }
-  SchedQueue& q = ts_.queue(id_);
-  const uint32_t width = ts_.config().smt_width;
-  // Counters batch into locals and flush once per Cycle return: the sharded
-  // CounterHandle costs a TLS load plus two dependent loads per increment,
-  // and nothing reads these counters until after the run completes.
+  // Counters batch into locals and flush once per Cycle return: an increment
+  // is a load and store through the handle's pointer that cannot stay in a
+  // register across the step calls, and nothing reads these counters until
+  // after the run completes.
   uint64_t insts = 0;
   uint64_t active_cycles = 0;
   // `now` is carried across AdvanceIfIdle instead of re-read: nothing inside
@@ -95,9 +93,7 @@ void Core::Cycle() {
   // exactly `next`.
   Tick now = eq_->now();
   for (;;) {
-    const uint64_t gen = q.generation();
-    Tick unpicked_min;
-    const uint32_t npicked = q.PickUpTo(now, width, picked_.data(), &unpicked_min);
+    const uint32_t npicked = queue_->PickUpTo(now, smt_width_, picked_.data());
     bool active = false;
     for (uint32_t i = 0; i < npicked; i++) {
       HwThread* t = picked_[i];
@@ -122,26 +118,7 @@ void Core::Cycle() {
     // Sleep until the next tick at which some thread can issue. When this
     // core is the only live actor, advance the clock in place and keep
     // stepping — same timing, no event dispatch round trip per tick.
-    //
-    // NextWorkTick(after) == max(after, min ready_at over runnable threads)
-    // (Tick max if none), so when no Add/Remove ran during the steps the
-    // value is reconstructed from the pick scan's unpicked minimum plus the
-    // picked threads' just-written ready_at — no second rotation walk. Any
-    // wake, block, or stop bumps the queue generation and falls back to the
-    // full scan, so the computed tick is identical by construction.
-    Tick next;
-    if (q.generation() == gen) {
-      Tick m = unpicked_min;
-      for (uint32_t i = 0; i < npicked; i++) {
-        HwThread* t = picked_[i];
-        if (t->state() == ThreadState::kRunnable) {
-          m = std::min(m, t->ready_at());
-        }
-      }
-      next = m == std::numeric_limits<Tick>::max() ? m : std::max(m, now + 1);
-    } else {
-      next = q.NextWorkTick(now + 1);
-    }
+    const Tick next = queue_->NextWorkTick(now + 1);
     if (next == std::numeric_limits<Tick>::max()) {
       break;
     }
@@ -165,7 +142,7 @@ Tick Core::Step(HwThread& t) {
   }
   if (t.state() == ThreadState::kRunnable) {
     t.set_ready_at(eq_->now() + std::max<Tick>(1, latency));
-    ts_.store(id_).Touch(t);
+    store_->Touch(t);
   }
   return latency;
 }

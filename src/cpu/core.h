@@ -159,6 +159,11 @@ class Core {
   // core `id` on a sharded machine, the one legacy queue otherwise. The hot
   // Cycle/Step paths must not re-resolve the shard table per tick.
   EventQueue* eq_;
+  // This core's rotation, context store and SMT width, bound once for the
+  // same reason: Cycle, Kick and Step run every simulated tick.
+  SchedQueue* queue_;
+  ContextStore* store_;
+  uint32_t smt_width_;
   TickEvent tick_event_;
   std::vector<HwThread*> picked_;  // PickUpTo scratch, sized smt_width at construction
   // Indexed by local thread index (ptid - native_base_); allocated on the

@@ -92,9 +92,9 @@ class HwThread {
   }
 
  private:
-  // Scheduler-hot fields first: SchedQueue::PickUpTo reads (state_,
-  // ready_at_) for every rotation slot every simulated tick, and must not
-  // drag the architected state's cache lines in to do it.
+  // Scheduler-hot fields first: SchedQueue::PickUpTo and NextWorkTick read
+  // (state_, ready_at_) for the rotation slots they walk every simulated
+  // tick, and must not drag the architected state's cache lines in to do it.
   Ptid ptid_;
   CoreId core_;
   ThreadState state_ = ThreadState::kDisabled;

@@ -8,7 +8,6 @@ namespace casc {
 
 void SchedQueue::Add(HwThread* thread, bool front) {
   assert(thread != nullptr);
-  generation_++;  // conservatively also on the already-queued early return
   for (const Slot& s : rotation_) {
     if (s.thread->ptid() == thread->ptid()) {
       return;  // already queued
@@ -23,7 +22,6 @@ void SchedQueue::Add(HwThread* thread, bool front) {
 }
 
 void SchedQueue::Remove(Ptid ptid) {
-  generation_++;
   for (size_t i = 0; i < rotation_.size(); i++) {
     if (rotation_[i].thread->ptid() == ptid) {
       rotation_.erase(rotation_.begin() + static_cast<ptrdiff_t>(i));

@@ -28,74 +28,41 @@ class SchedQueue {
   // `now` (runnable and restore complete). Weighted RR: a thread keeps its
   // slot for `prio` consecutive picks before the cursor advances past it.
   //
-  // When `unpicked_min` is non-null the scan visits every slot (instead of
-  // stopping once the SMT slots are full) and reports the minimum ready_at
-  // over the runnable threads it did NOT pick (Tick max if none). Combined
-  // with generation(), that lets Core::Cycle reconstruct NextWorkTick after
-  // stepping without a second rotation walk: unpicked threads' (state,
-  // ready_at) cannot have changed unless some Add/Remove ran, because every
-  // cross-thread wake/stop path goes through those two calls.
-  //
   // Defined here (with NextWorkTick) so the per-tick scan inlines into
   // Core::Cycle: the two calls account for a fifth of host time when left
-  // out of line, and inlining keeps the rotation base/size in registers
-  // across the pick -> step -> next-work sequence.
-  void PickUpTo(Tick now, uint32_t width, std::vector<HwThread*>* out,
-                Tick* unpicked_min = nullptr) {
+  // out of line.
+  void PickUpTo(Tick now, uint32_t width, std::vector<HwThread*>* out) {
     out->resize(rotation_.size());
-    const uint32_t picked = PickUpTo(now, width, out->data(), unpicked_min);
-    out->resize(picked);
+    out->resize(PickUpTo(now, width, out->data()));
   }
 
   // Array flavor of the same pick (no vector bookkeeping): `out` must hold
-  // at least rotation-size slots; returns the pick count. This is the form
-  // Core::Cycle calls every simulated tick.
-  uint32_t PickUpTo(Tick now, uint32_t width, HwThread** out, Tick* unpicked_min = nullptr) {
-    uint32_t picked = 0;
-    Tick umin = std::numeric_limits<Tick>::max();
-    const size_t n = rotation_.size();
-    if (n == 0) {
-      if (unpicked_min != nullptr) {
-        *unpicked_min = umin;
-      }
-      return 0;
-    }
-    // One pass from the cursor: the first ready thread found becomes the new
-    // cursor (the weighted-RR head), and ready threads fill the SMT slots in
-    // rotation order as the same scan continues. This merges what used to be
-    // two walks (cursor advance, then fill) into one — picks are identical
-    // because the skipped prefix holds no ready threads by definition, so the
-    // fill scan could never have collected anything there. Index wrap is a
+  // at least min(width, rotation size) slots; returns the pick count. This
+  // is the form Core::Cycle calls every simulated tick.
+  uint32_t PickUpTo(Tick now, uint32_t width, HwThread** out) {
+    // One pass from the cursor that stops once the SMT slots are full: the
+    // first ready thread found becomes the new cursor (the weighted-RR head),
+    // and ready threads fill the slots in rotation order. Index wrap is a
     // compare, not a modulo: this runs every simulated tick.
+    const size_t n = rotation_.size();
+    uint32_t picked = 0;
     size_t idx = cursor_;
-    bool found = false;
-    bool full = false;
     for (size_t s = 0; s < n; s++) {
       HwThread* t = rotation_[idx].thread;
-      const bool runnable = t->state() == ThreadState::kRunnable;
-      if (runnable && t->ready_at() <= now && !full) {
-        if (!found) {
-          found = true;
+      if (Ready(*t, now)) {
+        if (picked == 0) {
           cursor_ = idx;
         }
         out[picked++] = t;
         if (picked == width) {
-          if (unpicked_min == nullptr) {
-            break;
-          }
-          full = true;
+          break;
         }
-      } else if (runnable) {
-        umin = std::min(umin, t->ready_at());
       }
       if (++idx == n) {
         idx = 0;
       }
     }
-    if (unpicked_min != nullptr) {
-      *unpicked_min = umin;
-    }
-    if (!found) {
+    if (picked == 0) {
       return 0;  // nothing ready this cycle; cursor unchanged, no credit burn
     }
     // Weighted RR: the head thread holds the cursor for `prio` picks.
@@ -115,26 +82,25 @@ class SchedQueue {
   bool Empty() const { return rotation_.empty(); }
   size_t Size() const { return rotation_.size(); }
 
-  // Bumped by every Add/Remove call (even ones that turn out to be no-ops):
-  // an unchanged generation across a stretch of Steps guarantees that no
-  // thread outside the picked set changed its scheduling state, because
-  // every wake (MakeRunnable), block (Mwait), and stop/disable path calls
-  // Add or Remove. Core::Cycle uses this to validate the single-scan
-  // next-work-tick reconstruction.
-  uint64_t generation() const { return generation_; }
-
   // Earliest ready_at among queued threads that are not yet ready at `now`;
   // Tick max if all are ready or the queue is empty. Used by the core to
   // sleep precisely while restores are in flight.
   Tick NextReadyTick(Tick now) const;
 
-  // Earliest tick >= `after` at which some runnable thread can issue; Tick
-  // max if the rotation holds no runnable threads.
+  // Earliest tick >= `after` at which some runnable thread can issue:
+  // max(after, min ready_at over runnable threads), Tick max if the rotation
+  // holds none. The walk stops at the first runnable thread that is ready by
+  // `after`, since nothing can beat `after`; on a busy core that is the
+  // first slot or two.
   Tick NextWorkTick(Tick after) const {
     Tick best = std::numeric_limits<Tick>::max();
     for (const Slot& s : rotation_) {
-      if (s.thread->state() == ThreadState::kRunnable) {
-        best = std::min(best, std::max(s.thread->ready_at(), after));
+      const HwThread& t = *s.thread;
+      if (t.state() == ThreadState::kRunnable) {
+        if (t.ready_at() <= after) {
+          return after;
+        }
+        best = std::min(best, t.ready_at());
       }
     }
     return best;
@@ -153,7 +119,6 @@ class SchedQueue {
 
   std::vector<Slot> rotation_;
   size_t cursor_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace casc

@@ -1,6 +1,8 @@
 #include "src/hwt/thread_system.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 #include "src/sim/log.h"
@@ -78,6 +80,12 @@ void ThreadSystem::InitThread(Ptid ptid, Addr pc, bool supervisor, Addr edp, Add
   t.arch().edp = edp;
   t.arch().tdtr = tdtr;
   t.arch().tdt_size = tdt_size;
+}
+
+void ThreadSystem::AbortBadPtid(Ptid ptid) const {
+  std::fprintf(stderr, "ThreadSystem::thread: ptid %u is outside %u threads\n", ptid,
+               num_threads());
+  std::abort();
 }
 
 void ThreadSystem::NotifyWake(CoreId core) {

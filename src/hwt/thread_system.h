@@ -44,8 +44,10 @@ class ThreadSystem {
   Ptid PtidOf(CoreId core, uint32_t local) const { return core * config_.threads_per_core + local; }
   CoreId CoreOf(Ptid ptid) const { return ptid / config_.threads_per_core; }
 
-  HwThread& thread(Ptid ptid) { return *threads_[ptid]; }
-  const HwThread& thread(Ptid ptid) const { return *threads_[ptid]; }
+  // Checked in every build: an out-of-range ptid aborts with a message
+  // instead of indexing past the thread table.
+  HwThread& thread(Ptid ptid) { return *threads_[CheckedPtid(ptid)]; }
+  const HwThread& thread(Ptid ptid) const { return *threads_[CheckedPtid(ptid)]; }
   SchedQueue& queue(CoreId core) { return queues_[core]; }
   ContextStore& store(CoreId core) { return *stores_[core]; }
 
@@ -184,6 +186,13 @@ class ThreadSystem {
   // the translated target; raises the appropriate exception otherwise.
   bool CheckTranslated(Ptid issuer, Vtid vtid, const Translation& t, uint8_t required_perms,
                        Tick latency, OpResult* result);
+  Ptid CheckedPtid(Ptid ptid) const {
+    if (ptid >= threads_.size()) {
+      AbortBadPtid(ptid);
+    }
+    return ptid;
+  }
+  [[noreturn]] void AbortBadPtid(Ptid ptid) const;
   void NotifyWake(CoreId core);
   void OnMonitorWake(Ptid ptid);
   uint64_t* RemoteRegSlot(HwThread& t, uint32_t remote_reg);

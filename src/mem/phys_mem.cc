@@ -22,9 +22,8 @@ PhysicalMemory::Page& PhysicalMemory::EnsurePage(Addr addr) {
     node = node->next;
   }
   if (node == nullptr) {
-    node = new Node();
+    node = new Node();  // value-initialized: the page starts zeroed
     node->idx = idx;
-    std::memset(node->page.bytes, 0, sizeof(node->page.bytes));
     node->next = head;
     head = node;
     page_count_++;

@@ -54,7 +54,10 @@ class PhysicalMemory {
     assert(len <= 8);
     const Addr off = addr & (kPageSize - 1);
     if (off + len <= kPageSize) {
-      std::memcpy(EnsurePage(addr).bytes + off, &value, len);
+      const Memo& memo = memo_[shard::current];
+      Page* page = memo.page != nullptr && (addr >> kPageBits) == memo.idx ? memo.page
+                                                                          : &EnsurePage(addr);
+      std::memcpy(page->bytes + off, &value, len);
       return;
     }
     Write(addr, &value, len);
@@ -89,9 +92,11 @@ class PhysicalMemory {
     return static_cast<size_t>((idx * 0x9E3779B97F4A7C15ull) >> 50) & (kBuckets - 1);
   }
 
-  const Page* FindPage(Addr addr) const {
+  // Returns a mutable page from a const lookup: the table owns every page and
+  // never hands out a const one, so the memo can serve writes too.
+  Page* FindPage(Addr addr) const {
     const Addr idx = addr >> kPageBits;
-    for (const Node* n = buckets_[Bucket(idx)]; n != nullptr; n = n->next) {
+    for (Node* n = buckets_[Bucket(idx)]; n != nullptr; n = n->next) {
       if (n->idx == idx) {
         return &n->page;
       }
@@ -108,7 +113,7 @@ class PhysicalMemory {
     if (memo.page != nullptr && idx == memo.idx) {
       return memo.page;
     }
-    const Page* page = FindPage(addr);
+    Page* page = FindPage(addr);
     if (page != nullptr) {
       memo.idx = idx;
       memo.page = page;
@@ -118,7 +123,7 @@ class PhysicalMemory {
 
   struct Memo {
     Addr idx = 0;
-    const Page* page = nullptr;
+    Page* page = nullptr;
   };
 
   Node* buckets_[kBuckets] = {};

@@ -492,6 +492,17 @@ TEST(CpuTest, LoadRejectsOutOfRangeThreadOrCore) {
   EXPECT_DEATH(m.LoadSource(1, 0, "halt\n", true), "LoadSource: core 1 thread 0");
 }
 
+// ThreadSystem::thread() is public (runtime, tools, benches, tests): a ptid
+// past the table used to index out of bounds; every build now aborts.
+TEST(CpuTest, ThreadAccessorRejectsOutOfRangePtid) {
+  Machine m;
+  const Ptid past = m.threads().num_threads();
+  EXPECT_DEATH(m.threads().thread(past).ptid(),
+               "ThreadSystem::thread: ptid [0-9]+ is outside [0-9]+ threads");
+  const ThreadSystem& ts = m.threads();
+  EXPECT_DEATH(ts.thread(past + 1000).ptid(), "ThreadSystem::thread: ptid");
+}
+
 TEST(CpuTest, BindNativeRejectsOutOfRangeThreadOrCore) {
   MachineConfig cfg;
   cfg.num_cores = 2;

@@ -4,12 +4,17 @@
 // integration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "src/hwt/context_store.h"
 #include "src/hwt/exception.h"
 #include "src/hwt/sched_queue.h"
 #include "src/hwt/tdt.h"
 #include "src/hwt/thread_system.h"
 #include "src/mem/memory_system.h"
+#include "src/sim/rng.h"
 #include "src/sim/simulation.h"
 
 namespace casc {
@@ -612,6 +617,214 @@ TEST(SchedQueueTest, RemoveKeepsRotationConsistent) {
   q.PickUpTo(0, 1, &picked);
   EXPECT_EQ(picked[0]->ptid(), 0u);
   EXPECT_EQ(q.Size(), 2u);
+}
+
+// Test-only copy of the scheduler scan that SchedQueue replaced: one pass
+// that visits every rotation slot and reports the minimum ready_at over the
+// runnable threads it did not pick, and a NextWorkTick that walks the whole
+// rotation. Add/Remove are the same rotation edits SchedQueue makes.
+class ReferenceSchedQueue {
+ public:
+  void Add(HwThread* thread, bool front) {
+    for (const Slot& s : rotation_) {
+      if (s.thread->ptid() == thread->ptid()) {
+        return;
+      }
+    }
+    const Slot slot{thread, FullCredits(*thread)};
+    if (front && cursor_ <= rotation_.size()) {
+      rotation_.insert(rotation_.begin() + static_cast<ptrdiff_t>(cursor_), slot);
+    } else {
+      rotation_.push_back(slot);
+    }
+  }
+
+  void Remove(Ptid ptid) {
+    for (size_t i = 0; i < rotation_.size(); i++) {
+      if (rotation_[i].thread->ptid() == ptid) {
+        rotation_.erase(rotation_.begin() + static_cast<ptrdiff_t>(i));
+        if (cursor_ > i) {
+          cursor_--;
+        }
+        if (cursor_ >= rotation_.size()) {
+          cursor_ = 0;
+        }
+        return;
+      }
+    }
+  }
+
+  void PickUpTo(Tick now, uint32_t width, std::vector<HwThread*>* out, Tick* unpicked_min) {
+    out->clear();
+    Tick umin = std::numeric_limits<Tick>::max();
+    const size_t n = rotation_.size();
+    size_t idx = cursor_;
+    bool found = false;
+    for (size_t s = 0; s < n; s++) {
+      HwThread* t = rotation_[idx].thread;
+      const bool runnable = t->state() == ThreadState::kRunnable;
+      if (runnable && t->ready_at() <= now && out->size() < width) {
+        if (!found) {
+          found = true;
+          cursor_ = idx;
+        }
+        out->push_back(t);
+      } else if (runnable) {
+        umin = std::min(umin, t->ready_at());
+      }
+      if (++idx == n) {
+        idx = 0;
+      }
+    }
+    *unpicked_min = umin;
+    if (!found) {
+      return;
+    }
+    Slot& head = rotation_[cursor_];
+    if (head.credits > 0) {
+      head.credits--;
+    }
+    if (head.credits == 0) {
+      head.credits = FullCredits(*head.thread);
+      if (++cursor_ == n) {
+        cursor_ = 0;
+      }
+    }
+  }
+
+  Tick NextWorkTick(Tick after) const {
+    Tick best = std::numeric_limits<Tick>::max();
+    for (const Slot& s : rotation_) {
+      if (s.thread->state() == ThreadState::kRunnable) {
+        best = std::min(best, std::max(s.thread->ready_at(), after));
+      }
+    }
+    return best;
+  }
+
+  size_t Size() const { return rotation_.size(); }
+  size_t cursor() const { return cursor_; }
+  Ptid PtidAt(size_t i) const { return rotation_[i].thread->ptid(); }
+
+ private:
+  struct Slot {
+    HwThread* thread;
+    uint64_t credits;
+  };
+  static uint64_t FullCredits(const HwThread& t) { return std::max<uint64_t>(1, t.arch().prio); }
+
+  std::vector<Slot> rotation_;
+  size_t cursor_ = 0;
+};
+
+TEST(SchedQueueTest, RandomizedDifferentialAgainstReferenceScan) {
+  // Drive SchedQueue and the reference with the same random wakes (Add, at
+  // the back or the cursor), blocks (Remove of a random slot, the cursor slot
+  // or the last slot), idle gaps, prio changes and picks of width 1-4. Picked
+  // threads then get a new ready_at, as Core::Step and a demand restore
+  // write it, and some block mid-step. Phases alternate between growing the
+  // rotation toward 640 threads and shrinking it. After every op both must
+  // agree on NextWorkTick(now) and NextWorkTick(now + 1); after every pick
+  // they must pick the same threads, and when no thread blocked during the
+  // steps, NextWorkTick(now + 1) must also equal the reconstruction the old
+  // Core::Cycle made from the scan's unpicked minimum.
+  constexpr uint32_t kThreads = 640;
+  constexpr Tick kNever = std::numeric_limits<Tick>::max();
+  std::vector<HwThread> threads;
+  threads.reserve(kThreads);
+  for (uint32_t i = 0; i < kThreads; i++) {
+    threads.emplace_back(i, 0);
+  }
+  std::vector<bool> queued(kThreads, false);
+  SchedQueue q;
+  ReferenceSchedQueue ref;
+  Rng rng(2027);
+  Tick now = 0;
+  std::vector<HwThread*> got;
+  std::vector<HwThread*> want;
+  size_t max_size = 0;
+
+  auto block = [&](Ptid p) {
+    threads[p].set_state(rng.NextBounded(2) == 0 ? ThreadState::kWaiting
+                                                 : ThreadState::kDisabled);
+    q.Remove(p);
+    ref.Remove(p);
+    queued[p] = false;
+  };
+
+  for (int op = 0; op < 24000; op++) {
+    const bool grow = (op / 4000) % 2 == 0;
+    const uint64_t r = rng.NextBounded(100);
+    if (r < (grow ? 30u : 10u)) {
+      // Wake (MakeRunnable): ready now, or after a restore latency. Mostly
+      // the next unqueued thread from a random start; one in four is a
+      // random thread, which may re-add a queued one (a no-op).
+      auto p = static_cast<Ptid>(rng.NextBounded(kThreads));
+      if (rng.NextBounded(4) != 0) {
+        for (uint32_t i = 0; i < kThreads && queued[p]; i++) {
+          p = (p + 1) % kThreads;
+        }
+      }
+      HwThread& t = threads[p];
+      if (!queued[p]) {
+        t.set_state(ThreadState::kRunnable);
+        t.set_ready_at(rng.NextBounded(3) == 0 ? now + 1 + rng.NextBounded(300) : now);
+        t.arch().prio = 1 + rng.NextBounded(4);
+      }
+      const bool front = rng.NextBounded(4) == 0;
+      q.Add(&t, front);
+      ref.Add(&t, front);
+      queued[t.ptid()] = true;
+    } else if (r < (grow ? 33u : 40u)) {
+      if (ref.Size() == 0) {
+        continue;
+      }
+      const uint64_t which = rng.NextBounded(3);
+      const size_t slot = which == 0   ? rng.NextBounded(ref.Size())
+                          : which == 1 ? ref.cursor() % ref.Size()
+                                       : ref.Size() - 1;
+      block(ref.PtidAt(slot));
+    } else if (r < 45) {
+      now += 1 + rng.NextBounded(50);
+    } else if (r < 48) {
+      threads[rng.NextBounded(kThreads)].arch().prio = 1 + rng.NextBounded(4);
+    } else {
+      const auto width = static_cast<uint32_t>(1 + rng.NextBounded(4));
+      Tick unpicked_min = 0;
+      q.PickUpTo(now, width, &got);
+      ref.PickUpTo(now, width, &want, &unpicked_min);
+      ASSERT_EQ(got, want) << "op " << op << " now " << now << " width " << width;
+      bool blocked = false;
+      for (HwThread* t : got) {
+        const uint64_t kind = rng.NextBounded(40);
+        if (kind == 0) {
+          block(t->ptid());
+          blocked = true;
+        } else if (kind == 1) {
+          t->set_ready_at(now + 100 + rng.NextBounded(300));  // demand restore
+        } else {
+          t->set_ready_at(now + 1 + (kind < 30 ? 0 : rng.NextBounded(8)));
+        }
+      }
+      if (!blocked) {
+        Tick m = unpicked_min;
+        for (HwThread* t : got) {
+          m = std::min(m, t->ready_at());
+        }
+        const Tick reconstructed = m == kNever ? m : std::max(m, now + 1);
+        ASSERT_EQ(q.NextWorkTick(now + 1), reconstructed) << "op " << op << " now " << now;
+      }
+      const Tick next = q.NextWorkTick(now + 1);
+      now = next == kNever ? now + 1 : next;
+    }
+    ASSERT_EQ(q.Size(), ref.Size()) << "op " << op;
+    max_size = std::max(max_size, ref.Size());
+    for (const Tick after : {now, now + 1}) {
+      ASSERT_EQ(q.NextWorkTick(after), ref.NextWorkTick(after))
+          << "op " << op << " after " << after;
+    }
+  }
+  EXPECT_GE(max_size, 600u);  // the rotation really reached the K = 640 regime
 }
 
 TEST_F(HwtTest, DemandRestoreWithoutPrefetch) {
